@@ -2,14 +2,12 @@
 //! stack build, unit checks, standalone executables, analysis chains,
 //! reference comparison and bookkeeping — per experiment, plus the whole
 //! Figure-3 campaign grid under the sequential oracle and the work-stealing
-//! `CampaignEngine` at several worker counts.
+//! `CampaignScheduler` at several worker counts.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sp_bench::{desy_deployment, repro_run_config};
 use sp_core::fleet::{Coordinator, Worker};
-use sp_core::{
-    Campaign, CampaignConfig, CampaignEngine, CampaignOptions, CampaignScheduler, SpSystem,
-};
+use sp_core::{Campaign, CampaignConfig, CampaignOptions, CampaignScheduler, SpSystem};
 use sp_store::WorkQueue;
 
 fn bench_validation_runs(c: &mut Criterion) {
@@ -102,10 +100,10 @@ fn bench_campaign_engines(c: &mut Criterion) {
                 b.iter(|| {
                     let system = desy_deployment();
                     let config = grid(&system, CampaignOptions::image_parallel());
-                    CampaignEngine::plan(&system, config, workers)
-                        .expect("planned grid")
-                        .execute()
-                        .expect("engine campaign")
+                    let mut scheduler = CampaignScheduler::new(&system, workers);
+                    scheduler.submit(config).expect("planned grid");
+                    scheduler.execute().expect("engine campaign")[0]
+                        .summary
                         .total_runs()
                 })
             },
@@ -139,10 +137,10 @@ fn bench_campaign_memoized(c: &mut Criterion) {
             b.iter(|| {
                 let system = desy_deployment();
                 let config = grid(&system, memoize);
-                CampaignEngine::plan(&system, config, 4)
-                    .expect("planned grid")
-                    .execute()
-                    .expect("engine campaign")
+                let mut scheduler = CampaignScheduler::new(&system, 4);
+                scheduler.submit(config).expect("planned grid");
+                scheduler.execute().expect("engine campaign")[0]
+                    .summary
                     .total_runs()
             })
         });

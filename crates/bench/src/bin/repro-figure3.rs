@@ -5,7 +5,7 @@
 //! system, compiler and external dependencies, after the paper's ">300
 //! runs".
 //!
-//! The >300-run campaign executes on the sharded `CampaignEngine` (one
+//! The >300-run campaign executes on the sharded `CampaignScheduler` (one
 //! work-stealing lane per experiment, batched ledger commits) with run
 //! memoization on: after the first nightly pass every (experiment, image,
 //! test) cell is unchanged, so later passes replay conserved outputs
@@ -26,7 +26,7 @@
 
 use sp_bench::{desy_deployment, repro_run_config, scale_from_args};
 use sp_core::{
-    Campaign, CampaignConfig, CampaignEngine, CampaignOptions, CampaignSummary, SpSystem,
+    Campaign, CampaignConfig, CampaignOptions, CampaignScheduler, CampaignSummary, SpSystem,
 };
 use sp_env::{catalog, Arch, VmImageId};
 use sp_report::render_matrix;
@@ -97,9 +97,15 @@ fn main() {
         "running {planned} validation runs (scale {scale}, {workers} workers, memoize {memoize}) ..."
     );
     let started = std::time::Instant::now();
-    let engine =
-        CampaignEngine::plan(&system, config, workers).expect("campaign over registered names");
-    let summary = engine.execute().expect("sharded campaign");
+    let mut scheduler = CampaignScheduler::new(&system, workers);
+    scheduler
+        .submit(config)
+        .expect("campaign over registered names");
+    let summary = scheduler
+        .execute()
+        .expect("sharded campaign")
+        .remove(0)
+        .summary;
     let parallel_elapsed = started.elapsed();
     eprintln!("campaign finished in {parallel_elapsed:.1?}\n");
 
@@ -150,10 +156,13 @@ fn main() {
         "running {} external-dependency runs ...",
         ext_config.total_runs()
     );
-    let ext_summary = CampaignEngine::plan(&system, ext_config, workers)
-        .expect("external-axis plan")
+    let mut scheduler = CampaignScheduler::new(&system, workers);
+    scheduler.submit(ext_config).expect("external-axis plan");
+    let ext_summary = scheduler
         .execute()
-        .expect("external-axis campaign");
+        .expect("external-axis campaign")
+        .remove(0)
+        .summary;
     println!(
         "Figure 3 (external-dependency axis): the same processes against the\n\
          installed ROOT series on SL5/32bit gcc4.4, plus the ROOT 6 probe\n\

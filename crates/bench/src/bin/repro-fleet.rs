@@ -72,7 +72,9 @@ use std::sync::Arc;
 
 use sp_bench::{arg_value, desy_deployment, has_flag, repro_run_config, scale_from_args};
 use sp_core::fleet::{fleet_stats, run_log_cells, Coordinator, Worker};
-use sp_core::{Campaign, CampaignConfig, CampaignEngine, CampaignOptions, FleetTicket, SpSystem};
+use sp_core::{
+    Campaign, CampaignConfig, CampaignOptions, CampaignScheduler, FleetTicket, SpSystem,
+};
 use sp_report::render_fleet_stats;
 use sp_store::{FaultConfig, FaultFs, RunLog, StoreFs, SystemTimeSource, WorkQueue};
 
@@ -316,10 +318,15 @@ fn verify_against_oracles(
         let oracle_config =
             campaign_config(&oracle_system, experiment, repetitions, scale, options);
         let oracle = if options.image_parallel {
-            CampaignEngine::plan(&oracle_system, oracle_config, 1)
-                .expect("planned oracle grid")
+            let mut scheduler = CampaignScheduler::new(&oracle_system, 1);
+            scheduler
+                .submit(oracle_config)
+                .expect("planned oracle grid");
+            scheduler
                 .execute()
                 .expect("oracle campaign")
+                .remove(0)
+                .summary
         } else {
             Campaign::new(&oracle_system, oracle_config)
                 .execute()

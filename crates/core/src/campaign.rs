@@ -16,10 +16,13 @@
 //!    exactly once per pass, after every task of the pass has finished.
 //!
 //! 2. **Execution** — sequentially through [`Campaign`] (the reference
-//!    oracle: one `run_validation` per task in task order), in parallel
-//!    through [`CampaignEngine`] (one campaign over a work-stealing
-//!    pool), or multi-tenant through [`CampaignScheduler`], which runs
-//!    **N campaigns concurrently against one shared system**.
+//!    oracle: one `run_validation` per task in task order), or in
+//!    parallel through [`CampaignScheduler`], which runs **one or more
+//!    campaigns concurrently against one shared system** over a
+//!    work-stealing pool. A single campaign is just a scheduler with one
+//!    submission: `CampaignScheduler::new(system, workers)`, then
+//!    [`submit`](CampaignScheduler::submit) and
+//!    [`execute`](CampaignScheduler::execute).
 //!
 //! ## The scheduler: submission and collection
 //!
@@ -465,7 +468,7 @@ impl SummaryAggregator {
 }
 
 /// The sequential campaign executor — the reference oracle the parallel
-/// [`CampaignEngine`] is validated against.
+/// [`CampaignScheduler`] is validated against.
 pub struct Campaign<'a> {
     system: &'a SpSystem,
     config: CampaignConfig,
@@ -494,60 +497,6 @@ impl<'a> Campaign<'a> {
             self.system.clock().advance(plan.config().interval_secs);
         }
         Ok(aggregator.finish())
-    }
-}
-
-/// The parallel campaign executor: each repetition's per-experiment lanes
-/// are dispatched onto a work-stealing pool, references are promoted in
-/// lane order, and the repetition's runs are committed to the ledger in a
-/// single batch at the barrier.
-///
-/// Since the scheduler refactor this is a thin convenience over
-/// [`CampaignScheduler`] with exactly one submitted campaign; the
-/// byte-identity contract against [`Campaign`] is unchanged.
-pub struct CampaignEngine<'a> {
-    system: &'a SpSystem,
-    plan: CampaignPlan,
-    workers: usize,
-}
-
-impl<'a> CampaignEngine<'a> {
-    /// Creates an engine over a plan with the given worker count
-    /// (minimum 1). One worker degenerates to sequential lane execution.
-    pub fn new(system: &'a SpSystem, plan: CampaignPlan, workers: usize) -> Self {
-        CampaignEngine {
-            system,
-            plan,
-            workers: workers.max(1),
-        }
-    }
-
-    /// Plans and creates an engine in one step.
-    pub fn plan(
-        system: &'a SpSystem,
-        config: CampaignConfig,
-        workers: usize,
-    ) -> Result<Self, SystemError> {
-        Ok(Self::new(
-            system,
-            CampaignPlan::new(system, config)?,
-            workers,
-        ))
-    }
-
-    /// The underlying plan.
-    pub fn campaign_plan(&self) -> &CampaignPlan {
-        &self.plan
-    }
-
-    /// Executes the plan. The summary is byte-identical to what
-    /// [`Campaign::execute`] produces on an identically prepared system,
-    /// for any worker count.
-    pub fn execute(&self) -> Result<CampaignSummary, SystemError> {
-        let mut scheduler = CampaignScheduler::new(self.system, self.workers);
-        scheduler.submit_plan(self.plan.clone())?;
-        let mut reports = scheduler.execute()?;
-        Ok(reports.remove(0).summary)
     }
 }
 
@@ -701,11 +650,6 @@ impl<'a> CampaignScheduler<'a> {
     /// pre-reserves the campaign's contiguous run-id range.
     pub fn submit(&mut self, config: CampaignConfig) -> Result<CampaignTicket, SystemError> {
         let plan = CampaignPlan::new(self.system, config)?;
-        self.submit_plan(plan)
-    }
-
-    /// Submits an already-validated plan (the [`CampaignEngine`] path).
-    pub fn submit_plan(&mut self, plan: CampaignPlan) -> Result<CampaignTicket, SystemError> {
         self.check_disjoint(&plan)?;
         let base = self.system.reserve_run_ids(plan.total_runs() as u64);
         Ok(self.push_submission(plan, base))

@@ -297,7 +297,7 @@ impl WorkerStats {
 /// arriving every few milliseconds cost one clock read, not one disk
 /// write each. Renewal is fenced: the first renewal rejected by the
 /// queue's lease protocol records the error, cancels the campaign (via
-/// the token installed by [`Worker::drain_one`]) and stops renewing —
+/// the token installed by [`Worker::drain_batch`]) and stops renewing —
 /// execution winds down promptly instead of burning a full campaign
 /// whose publish is already doomed.
 struct LeaseRenewer<'a> {
@@ -635,211 +635,6 @@ impl<'a> Worker<'a> {
         &self.name
     }
 
-    /// Tries to lease and fully drain one submission. Returns the drained
-    /// sequence number, or `None` when nothing was claimable right now.
-    ///
-    /// Failure handling is tiered by what the failure proves:
-    ///
-    /// * **undecodable payload** — the digest validated but no build of
-    ///   this code can interpret the bytes, on this machine or any other:
-    ///   the submission is durably poisoned on the queue so siblings and
-    ///   restarted workers never re-lease it;
-    /// * **local plan/execution failure** — this worker's environment
-    ///   cannot run it (missing experiment, missing image): released and
-    ///   locally skipped; a sibling with a richer environment may drain;
-    /// * **fenced mid-flight** — the lease expired (or was superseded)
-    ///   while executing, caught either by a renewal or at publish: the
-    ///   locally absorbed runs and reference promotions are **rolled
-    ///   back**, nothing is counted as executed, and the work stays
-    ///   pending — re-leasing it (possibly by this very worker) is
-    ///   indistinguishable from leasing a stranger's;
-    /// * **transient queue I/O fault** — retried under bounded backoff
-    ///   before any of the above verdicts is reached; retries that
-    ///   exhaust surface as [`FleetError::Io`] with the lease handed
-    ///   back, leaving the work pending rather than poisoned.
-    pub fn drain_one(&self, stats: &mut WorkerStats) -> Result<Option<u64>, FleetError> {
-        let before = self.retry.borrow().retries();
-        let result = self.drain_one_inner(stats);
-        stats.io_retries = stats
-            .io_retries
-            .saturating_add(self.retry.borrow().retries().saturating_sub(before));
-        result
-    }
-
-    fn drain_one_inner(&self, stats: &mut WorkerStats) -> Result<Option<u64>, FleetError> {
-        let poisoned = self.poisoned.borrow().clone();
-        // Scan sequence numbers only (a directory listing); the payload is
-        // read and digest-checked once, *after* winning the lease, rather
-        // than on every poll of every worker.
-        for seq in self.retry_io(|| self.queue.submission_seqs_checked())? {
-            if poisoned.contains(&seq)
-                || self.completed.borrow().contains(&seq)
-                || self.invalid.borrow().contains(&seq)
-            {
-                continue;
-            }
-            let Some(lease) = self.retry_io(|| self.queue.try_lease(seq, &self.name))? else {
-                continue;
-            };
-            // Distinguish *can't read* from *read garbage*: a transient
-            // I/O failure is retried and, if it persists, surfaces with
-            // the lease released and the work still pending — it proves
-            // nothing about the record. Only a digest failure on bytes we
-            // actually read (`Ok(None)` below, after the queue quarantines
-            // the file) or an undecodable validated payload is terminal.
-            let submission = match self.retry_io(|| self.queue.submission_checked(seq)) {
-                Ok(Some(submission)) => submission,
-                Ok(None) => {
-                    // Vanished or corrupt (already moved to quarantine by
-                    // the read): permanently undrainable, but not this
-                    // worker's fault and nothing to poison — the record
-                    // is gone.
-                    stats.failures += 1;
-                    self.invalid.borrow_mut().insert(seq);
-                    let _ = self.queue.release(&lease);
-                    return Ok(None);
-                }
-                Err(error) => {
-                    stats.failures += 1;
-                    let _ = self.queue.release(&lease);
-                    return Err(error.into());
-                }
-            };
-            let Some(config) = decode_campaign_config(&submission.payload) else {
-                // The digest validated but no build of this code can
-                // interpret the bytes — undecodable anywhere, forever:
-                // poison durably so no process — this one restarted, or
-                // a sibling that never saw this failure — burns leases
-                // on it again.
-                let error = FleetError::Codec(format!("submission {seq}"));
-                stats.failures += 1;
-                let _ = self
-                    .queue
-                    .mark_poisoned(seq, &self.name, &error.to_string());
-                self.invalid.borrow_mut().insert(seq);
-                let _ = self.queue.release(&lease);
-                sp_obs::global().counter("fleet.poison_marks").incr();
-                sp_obs::trace::emit_with("worker", "poison", || format!("seq={seq}"));
-                return Err(error);
-            };
-
-            // Checkpoint what a fenced-away execution must roll back: the
-            // campaign's reference maps as they stand before any of its
-            // lanes promote into them. (The run log needs no checkpoint —
-            // the pre-reserved id range identifies exactly the entries to
-            // retract.)
-            let ledger = self.system.ledger();
-            let checkpoint: Vec<(String, crate::ledger::ReferenceState)> = config
-                .experiments
-                .iter()
-                .map(|name| (name.clone(), ledger.reference_state(name)))
-                .collect();
-
-            let renewer = LeaseRenewer::new(self.queue, lease, self.slowdown);
-            let outcome = self.execute_leased(&submission, config, &renewer);
-            stats.renewals += renewer.renewals();
-            match outcome {
-                Ok((report, sched)) if !renewer.fenced_mid_flight() => {
-                    let lease = renewer.lease();
-                    if let Some(log) = &self.run_log {
-                        let cells = run_log_cells(seq, &report, &self.name, lease.token);
-                        if let Err(error) = self.retry_io(|| log.append_batch(&cells)) {
-                            // The history could not be committed, so the
-                            // report must not publish (log-before-publish
-                            // invariant): roll back, hand the lease back,
-                            // surface — the work stays pending.
-                            self.roll_back_fenced(&submission, checkpoint);
-                            stats.failures += 1;
-                            let _ = self.queue.release(&lease);
-                            return Err(error.into());
-                        }
-                        sp_obs::global()
-                            .counter("fleet.cells_logged")
-                            .add(cells.len() as u64);
-                    }
-                    let payload = encode_campaign_report(&report);
-                    match self.retry_wq(|| self.queue.publish_report(&lease, &payload)) {
-                        Ok(()) => {
-                            sp_obs::global().counter("fleet.publishes").incr();
-                            sp_obs::trace::emit_with("worker", "publish", || {
-                                format!("seq={seq} token={}", lease.token)
-                            });
-                        }
-                        Err(
-                            error @ (WqError::StaleLease { .. }
-                            | WqError::Expired { .. }
-                            | WqError::AlreadyReleased { .. }),
-                        ) => {
-                            // The lease ran out between the last renewal
-                            // point and the publish, and the fencing token
-                            // kept this commit from landing. Nothing was
-                            // drained: roll the local absorption back and
-                            // leave the work pending for the next
-                            // generation.
-                            self.roll_back_fenced(&submission, checkpoint);
-                            stats.failures += 1;
-                            return Err(error.into());
-                        }
-                        Err(error) => {
-                            // Hard I/O failure that outlasted the retry
-                            // budget: no trusted report landed, so the
-                            // execution never officially happened. Roll
-                            // back, hand the lease back (best effort —
-                            // expiry reclaims it otherwise) and surface;
-                            // the work stays pending for a healthier
-                            // sibling or a later retry.
-                            self.roll_back_fenced(&submission, checkpoint);
-                            stats.failures += 1;
-                            let _ = self.queue.release(&lease);
-                            return Err(error.into());
-                        }
-                    }
-                    stats.campaigns_drained += 1;
-                    stats.runs_executed += report.summary.total_runs() as u64;
-                    stats.sched.merge(&sched);
-                    match self.retry_wq(|| self.queue.release(&lease)) {
-                        Ok(())
-                        // The report is already published and fenced; a
-                        // release lost to expiry or supersession does not
-                        // undo completed work.
-                        | Err(WqError::StaleLease { .. })
-                        | Err(WqError::Expired { .. })
-                        | Err(WqError::AlreadyReleased { .. }) => {}
-                        Err(error) => return Err(error.into()),
-                    }
-                    self.completed.borrow_mut().insert(seq);
-                    return Ok(Some(seq));
-                }
-                Ok(_) => {
-                    // A renewal hit the fencing error mid-flight and
-                    // cancelled the campaign: whatever partial execution
-                    // was absorbed locally never officially happened.
-                    self.roll_back_fenced(&submission, checkpoint);
-                    stats.failures += 1;
-                    sp_obs::global().counter("fleet.fenced").incr();
-                    sp_obs::trace::emit_with("worker", "fenced", || format!("seq={seq}"));
-                    let error = renewer
-                        .take_fenced()
-                        .expect("fenced_mid_flight implies a recorded error");
-                    return Err(error.into());
-                }
-                Err(error) => {
-                    // Plan or execution failure in *this* environment:
-                    // roll back any partial absorption, hand the lease
-                    // back cleanly (if that fails too, it simply
-                    // expires), and skip locally — a richer sibling may
-                    // still drain it.
-                    self.roll_back_fenced(&submission, checkpoint);
-                    stats.failures += 1;
-                    self.poisoned.borrow_mut().insert(seq);
-                    let _ = self.queue.release(&renewer.lease());
-                    return Err(error);
-                }
-            }
-        }
-        Ok(None)
-    }
-
     /// Retracts a fenced-away (or failed) execution's local absorption:
     /// every logged run in the submission's pre-reserved id range, and
     /// the campaign's reference promotions, restored to the checkpoint
@@ -899,9 +694,28 @@ impl<'a> Worker<'a> {
     /// flushed through the queue's batched publish+release path — one
     /// parent-directory sync per batch instead of one per report.
     ///
-    /// Per-item failure handling is exactly [`drain_one`](Self::drain_one)'s
-    /// tiers; a failed item is dropped from the batch (poisoned, released
-    /// or rolled back per its tier) without abandoning its batch-mates.
+    /// Failure handling is tiered per item by what the failure proves:
+    ///
+    /// * **undecodable payload** — the digest validated but no build of
+    ///   this code can interpret the bytes, on this machine or any other:
+    ///   the submission is durably poisoned on the queue so siblings and
+    ///   restarted workers never re-lease it;
+    /// * **local plan/execution failure** — this worker's environment
+    ///   cannot run it (missing experiment, missing image): released and
+    ///   locally skipped; a sibling with a richer environment may drain;
+    /// * **fenced mid-flight** — the lease expired (or was superseded)
+    ///   while executing, caught either by a renewal or at publish: the
+    ///   locally absorbed runs and reference promotions are **rolled
+    ///   back**, nothing is counted as executed, and the work stays
+    ///   pending — re-leasing it (possibly by this very worker) is
+    ///   indistinguishable from leasing a stranger's;
+    /// * **transient queue I/O fault** — retried under bounded backoff
+    ///   before any of the above verdicts is reached; retries that
+    ///   exhaust surface as [`FleetError::Io`] with the lease handed
+    ///   back, leaving the work pending rather than poisoned.
+    ///
+    /// A failed item is dropped from the batch (poisoned, released or
+    /// rolled back per its tier) without abandoning its batch-mates.
     /// Per-item reference rollback is sound because the coordinator
     /// rejects experiment overlap across submissions
     /// ([`Coordinator::submit`]), so two batched campaigns never promote
@@ -962,9 +776,12 @@ impl<'a> Worker<'a> {
         let mut held: std::collections::BTreeMap<u64, Lease> =
             leases.into_iter().map(|lease| (lease.seq, lease)).collect();
 
-        // Phase 2 — read and decode every claimed payload, applying the
-        // same failure tiers as `drain_one`: a dropped item releases its
-        // lease (or poisons durably) without abandoning its batch-mates.
+        // Phase 2 — read and decode every claimed payload. Only a digest
+        // failure on bytes actually read (`Ok(None)`, after the queue
+        // quarantines the file) or an undecodable validated payload is
+        // terminal; a transient read fault releases the lease and leaves
+        // the work pending. A dropped item releases its lease (or poisons
+        // durably) without abandoning its batch-mates.
         let mut decoded: Vec<(u64, sp_store::QueueSubmission, CampaignConfig)> = Vec::new();
         for seq in held.keys().copied().collect::<Vec<_>>() {
             let submission = match self.retry_io(|| self.queue.submission_checked(seq)) {
@@ -1437,13 +1254,13 @@ pub fn encode_campaign_config(config: &CampaignConfig) -> Vec<u8> {
 /// any structural mismatch.
 pub fn decode_campaign_config(bytes: &[u8]) -> Option<CampaignConfig> {
     let mut cursor = Cursor::new(bytes);
-    let experiment_count = cursor.take_u32()?;
-    let mut experiments = Vec::with_capacity(experiment_count as usize);
+    let experiment_count = cursor.take_count(4)?;
+    let mut experiments = Vec::with_capacity(experiment_count);
     for _ in 0..experiment_count {
         experiments.push(cursor.take_str()?);
     }
-    let image_count = cursor.take_u32()?;
-    let mut images = Vec::with_capacity(image_count as usize);
+    let image_count = cursor.take_count(4)?;
+    let mut images = Vec::with_capacity(image_count);
     for _ in 0..image_count {
         images.push(sp_env::VmImageId(cursor.take_u32()?));
     }
@@ -1531,8 +1348,9 @@ pub fn decode_campaign_report(bytes: &[u8], ticket: CampaignTicket) -> Option<Ca
     let mut cursor = Cursor::new(bytes);
     let completed_repetitions = cursor.take_u64()? as usize;
     let cancelled = cursor.take(1)?[0] != 0;
-    let run_count = cursor.take_u32()?;
-    let mut runs = Vec::with_capacity(run_count as usize);
+    // id, two length-prefixed strings, timestamp, three counters, flag.
+    let run_count = cursor.take_count(8 + 4 + 4 + 8 + 3 * 8 + 1)?;
+    let mut runs = Vec::with_capacity(run_count);
     for _ in 0..run_count {
         runs.push(RunRecord {
             id: RunId(cursor.take_u64()?),
@@ -1554,8 +1372,8 @@ pub fn decode_campaign_report(bytes: &[u8], ticket: CampaignTicket) -> Option<Ca
         let status = take_cell_status(&mut cursor)?;
         cells.insert((experiment, group, image), status);
     }
-    let label_count = cursor.take_u32()?;
-    let mut image_labels = Vec::with_capacity(label_count as usize);
+    let label_count = cursor.take_count(4)?;
+    let mut image_labels = Vec::with_capacity(label_count);
     for _ in 0..label_count {
         image_labels.push(cursor.take_str()?);
     }
@@ -1724,6 +1542,14 @@ mod tests {
         assert_eq!(decoded.completed_repetitions, 1);
         assert!(!decoded.cancelled);
         assert!(decode_campaign_report(&bytes[..bytes.len() - 1], report.ticket).is_none());
+        assert!(decode_campaign_report(b"junk", report.ticket).is_none());
+        // Completed repetitions, cancelled flag, then a run count of
+        // `u32::MAX` with no runs behind it.
+        let mut huge = Vec::new();
+        wire::put_u64(&mut huge, 1);
+        huge.push(0);
+        wire::put_u32(&mut huge, u32::MAX);
+        assert!(decode_campaign_report(&huge, report.ticket).is_none());
     }
 
     #[test]

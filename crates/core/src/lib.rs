@@ -27,7 +27,8 @@
 //! * [`campaign`] — multi-run campaigns (the >300 runs of §3.3), split
 //!   into a planning phase ([`CampaignPlan`]) and two interchangeable
 //!   executors: the sequential [`Campaign`] oracle and the sharded,
-//!   work-stealing [`CampaignEngine`].
+//!   work-stealing [`CampaignScheduler`] (one or more campaigns per
+//!   batch).
 //! * [`fleet`] — the distributed deployment shape of §3.1: a
 //!   [`Coordinator`] enqueues campaign plans onto the durable
 //!   [`sp_store::WorkQueue`] (pre-carved run-id ranges, recorded
@@ -66,9 +67,8 @@ mod warm;
 pub mod workflow;
 
 pub use campaign::{
-    Campaign, CampaignConfig, CampaignEngine, CampaignOptions, CampaignPlan, CampaignReport,
-    CampaignScheduler, CampaignSummary, CampaignTicket, CellStatus, RunRecord, RunTask,
-    ScheduleStats,
+    Campaign, CampaignConfig, CampaignOptions, CampaignPlan, CampaignReport, CampaignScheduler,
+    CampaignSummary, CampaignTicket, CellStatus, RunRecord, RunTask, ScheduleStats,
 };
 pub use classify::{classify, Diagnosis};
 pub use compare::{Comparator, CompareOutcome, TestOutput};

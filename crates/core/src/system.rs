@@ -13,12 +13,12 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use sp_build::{BuildEngine, BuildReport, BuildStatus, GraphError, ParallelBuilder};
 use sp_env::{check_runtime, EnvironmentSpec, ImageError, RuntimeOutcome, VmImage, VmImageId};
 use sp_exec::{
-    Client, ClientError, ClientKind, CronSchedule, JobId, JobIdGenerator, JobPool, JobResult,
-    JobSpec, JobStatus, StageStatus, VirtualClock, WorkStealingPool,
+    Client, ClientError, ClientKind, CronSchedule, JobId, JobIdGenerator, StageStatus,
+    VirtualClock, WorkStealingPool,
 };
 use sp_hep::{
     hist_io, reconstruct, Analysis, DetectorSim, Event, EventGenerator, GeneratorConfig,
@@ -388,10 +388,10 @@ impl SpSystem {
         let build = &*build;
 
         // Execute the suite: compile results come from the build report;
-        // unit checks and standalone executables run in parallel through
-        // the job pool; chains run sequentially.
+        // unit checks and standalone executables run in parallel on a
+        // work-stealing pool; chains run sequentially.
         let mut results: Vec<TestResult> = Vec::new();
-        let mut parallel_tests: Vec<(JobSpec, &ValidationTest)> = Vec::new();
+        let mut parallel_tests: Vec<(JobId, &ValidationTest)> = Vec::new();
 
         for test in experiment.suite.tests() {
             match &test.kind {
@@ -399,15 +399,7 @@ impl SpSystem {
                     results.push(self.compile_result(test, package, build, run_id));
                 }
                 TestKind::UnitCheck { .. } | TestKind::Standalone { .. } => {
-                    let job = JobSpec {
-                        id: self.job_ids.allocate(),
-                        name: test.id.as_str().to_string(),
-                        tag: config.description.clone(),
-                        image_label: env.label(),
-                        submitted_at: timestamp,
-                        inputs: Vec::new(),
-                    };
-                    parallel_tests.push((job, test));
+                    parallel_tests.push((self.job_ids.allocate(), test));
                 }
                 TestKind::Chain { .. } => {
                     // Chains execute after the parallel batch (sequential
@@ -416,35 +408,14 @@ impl SpSystem {
             }
         }
 
-        // Parallel batch via the job pool.
-        let rich: Mutex<BTreeMap<JobId, TestResult>> = Mutex::new(BTreeMap::new());
-        let by_id: BTreeMap<JobId, &ValidationTest> = parallel_tests
-            .iter()
-            .map(|(job, test)| (job.id, *test))
-            .collect();
-        let pool = JobPool::new(config.threads);
-        let specs: Vec<JobSpec> = parallel_tests.iter().map(|(j, _)| j.clone()).collect();
-        pool.run_batch(specs, |spec| {
-            let test = by_id[&spec.id];
-            let result = self.run_parallel_test(experiment, test, env, build, spec, config, run_id);
-            let job_status = match &result.status {
-                TestStatus::Passed | TestStatus::PassedWithWarnings(_) => JobStatus::Succeeded,
-                TestStatus::Failed(FailureKind::Crash(m)) => JobStatus::Crashed(m.clone()),
-                TestStatus::Failed(_) => JobStatus::Failed(1),
-                TestStatus::Skipped(_) => JobStatus::Failed(0),
-            };
-            let job_result = JobResult {
-                id: spec.id,
-                status: job_status,
-                log: String::new(),
-                outputs: result.outputs.clone(),
-                started_at: spec.submitted_at,
-                finished_at: spec.submitted_at,
-            };
-            rich.lock().insert(spec.id, result);
-            job_result
-        });
-        results.extend(rich.into_inner().into_values());
+        // Parallel batch: the pool returns results in task order, which is
+        // job-id order because ids were allocated in that order.
+        results.extend(WorkStealingPool::new(config.threads).run(
+            parallel_tests,
+            |_, (job, test)| {
+                self.run_parallel_test(experiment, test, env, build, job, config, run_id)
+            },
+        ));
 
         // Sequential chains.
         for test in experiment.suite.tests() {
@@ -602,7 +573,7 @@ impl SpSystem {
         }
     }
 
-    /// Runs one unit-check or standalone test (called from the job pool).
+    /// Runs one unit-check or standalone test (called from the pool).
     #[allow(clippy::too_many_arguments)]
     fn run_parallel_test(
         &self,
@@ -610,7 +581,7 @@ impl SpSystem {
         test: &ValidationTest,
         env: &EnvironmentSpec,
         build: &BuildReport,
-        spec: &JobSpec,
+        job: JobId,
         config: &RunConfig,
         run_id: RunId,
     ) -> TestResult {
@@ -624,7 +595,7 @@ impl SpSystem {
             test: test.id.clone(),
             category: test.category(),
             group: test.group.clone(),
-            job: spec.id,
+            job,
             status,
             outputs,
             compare,

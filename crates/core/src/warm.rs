@@ -100,6 +100,9 @@ fn put_object_id(out: &mut Vec<u8>, id: ObjectId) {
     out.extend_from_slice(&id.0);
 }
 
+/// Smallest encoding of one named output: name length prefix + object id.
+const OUTPUT_MIN_BYTES: usize = 4 + 32;
+
 fn take_object_id(cursor: &mut Cursor<'_>) -> Option<ObjectId> {
     cursor
         .take(32)
@@ -218,15 +221,17 @@ pub(crate) fn encode_chain(chain: &MemoizedChain) -> Vec<u8> {
 pub(crate) fn decode_chain(bytes: &[u8]) -> Option<MemoizedChain> {
     let mut cursor = Cursor::new(bytes);
     take_value_header(&mut cursor)?;
-    let stage_count = cursor.take_u32()?;
-    let mut stages = Vec::with_capacity(stage_count as usize);
+    // stage name + test id (length prefixes), category, status tag,
+    // output count.
+    let stage_count = cursor.take_count(4 + 4 + 1 + 1 + 4)?;
+    let mut stages = Vec::with_capacity(stage_count);
     for _ in 0..stage_count {
         let stage = cursor.take_str()?;
         let test = TestId::new(cursor.take_str()?);
         let category = take_category(&mut cursor)?;
         let status = take_status(&mut cursor)?;
-        let output_count = cursor.take_u32()?;
-        let mut outputs = Vec::with_capacity(output_count as usize);
+        let output_count = cursor.take_count(OUTPUT_MIN_BYTES)?;
+        let mut outputs = Vec::with_capacity(output_count);
         for _ in 0..output_count {
             let name = cursor.take_str()?;
             let oid = take_object_id(&mut cursor)?;
@@ -274,8 +279,8 @@ pub(crate) fn decode_reference_tests(
     let mut tests = BTreeMap::new();
     for _ in 0..test_count {
         let test = cursor.take_str()?;
-        let output_count = cursor.take_u32()?;
-        let mut outputs = Vec::with_capacity(output_count as usize);
+        let output_count = cursor.take_count(OUTPUT_MIN_BYTES)?;
+        let mut outputs = Vec::with_capacity(output_count);
         for _ in 0..output_count {
             let name = cursor.take_str()?;
             let oid = take_object_id(&mut cursor)?;
@@ -341,8 +346,8 @@ pub(crate) fn decode_build_report(bytes: &[u8]) -> Option<Arc<BuildReport>> {
     let mut cursor = Cursor::new(bytes);
     take_value_header(&mut cursor)?;
     let env_label = cursor.take_str()?;
-    let order_count = cursor.take_u32()?;
-    let mut order = Vec::with_capacity(order_count as usize);
+    let order_count = cursor.take_count(4)?;
+    let mut order = Vec::with_capacity(order_count);
     for _ in 0..order_count {
         order.push(PackageId::new(cursor.take_str()?));
     }
@@ -461,6 +466,18 @@ mod tests {
             "truncation rejected"
         );
         assert!(decode_chain(b"").is_none());
+        assert!(decode_chain(b"junk").is_none());
+        assert!(decode_chain(&huge_count(&[])).is_none());
+    }
+
+    /// A valid value header, `prefix`, then a count of `u32::MAX` with no
+    /// elements behind it: decoders must refuse it without pre-allocating.
+    fn huge_count(prefix: &[u8]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        put_value_header(&mut bytes);
+        bytes.extend_from_slice(prefix);
+        wire::put_u32(&mut bytes, u32::MAX);
+        bytes
     }
 
     #[test]
@@ -502,6 +519,10 @@ mod tests {
         assert_eq!(decode_reference_tests(&bytes), Some(tests));
         assert!(decode_reference_tests(&bytes[..bytes.len() - 1]).is_none());
         assert!(decode_reference_tests(b"junk").is_none());
+        let mut one_test = Vec::new();
+        wire::put_u32(&mut one_test, 1);
+        wire::put_str(&mut one_test, "h1/unit/util-0");
+        assert!(decode_reference_tests(&huge_count(&one_test)).is_none());
     }
 
     #[test]
@@ -534,5 +555,10 @@ mod tests {
         let decoded = decode_build_report(&bytes).expect("round trip");
         assert_eq!(*decoded, report);
         assert!(decode_build_report(&bytes[..10]).is_none());
+        assert!(decode_build_report(&bytes[..bytes.len() - 1]).is_none());
+        assert!(decode_build_report(b"junk").is_none());
+        let mut env_label = Vec::new();
+        wire::put_str(&mut env_label, "SL6/64bit gcc4.4");
+        assert!(decode_build_report(&huge_count(&env_label)).is_none());
     }
 }

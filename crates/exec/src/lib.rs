@@ -9,18 +9,17 @@
 //!
 //! * [`clock`] — the virtual clock providing the Unix timestamps of §3.3.
 //! * [`cron`] — cron expressions and next-fire computation.
-//! * [`job`] — job specifications, unique job ids, job results.
+//! * [`job`] — unique job ids (`sp-000042`) and their generator.
 //! * [`client`] — client machines and the two joining requirements.
 //! * [`poll`] — pull-model polling primitives: jittered exponential
 //!   backoff and the idle-bounded poll loop fleet workers drain a shared
 //!   queue with.
 //! * [`pool`] — the generic work-stealing scheduler: per-worker deques,
-//!   oldest-first stealing, results in task-index order.
+//!   oldest-first stealing, results in task-index order. Standalone
+//!   validation tests "are run in parallel" (§3.2) on it.
 //! * [`sched`] — fair-share lane dispatch over one shared pool:
 //!   round-robin interleaving across campaigns, campaign-scoped
 //!   cancellation tokens, scheduling counters.
-//! * [`queue`] — the job-batch façade over the pool, with deterministic
-//!   result collection by job id.
 //! * [`chain`] — DAG-structured analysis chains: "some of these tests …
 //!   are run in parallel, many are run sequentially and form discrete parts
 //!   in one of several full analysis chains" (§3.2).
@@ -45,17 +44,15 @@ pub mod cron;
 pub mod job;
 pub mod poll;
 pub mod pool;
-pub mod queue;
 pub mod sched;
 
 pub use chain::{ChainDef, ChainError, ChainReport, StageDef, StageStatus};
 pub use client::{Client, ClientError, ClientKind};
 pub use clock::VirtualClock;
 pub use cron::{CronError, CronSchedule};
-pub use job::{JobId, JobIdGenerator, JobResult, JobSpec, JobStatus};
+pub use job::{JobId, JobIdGenerator};
 pub use poll::{Backoff, PollLoop, PollOutcome, PollStats, RetryPolicy};
 pub use pool::{PoolStats, WorkStealingPool};
-pub use queue::JobPool;
 pub use sched::{
     CampaignId, CancellationToken, Lane, LaneScheduler, LaneSchedulerStats, ProgressHook,
     ProgressPoint, TracingProgressHook,

@@ -1,7 +1,7 @@
 //! The work-stealing execution pool.
 //!
-//! [`WorkStealingPool`] generalises the channel-fed [`crate::queue::JobPool`]
-//! into a reusable scheduler for *any* indexed task batch: tasks are seeded
+//! [`WorkStealingPool`] is the scheduler for *any* indexed task batch —
+//! campaign lanes, validation-test batches, digest chunks: tasks are seeded
 //! round-robin into per-worker deques, each worker drains its own queue
 //! first and then steals from its peers (oldest-first, so stolen work is the
 //! work least likely to be cache-hot on its owner), and results are returned

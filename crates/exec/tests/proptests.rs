@@ -1,8 +1,10 @@
 //! Property-based tests for the execution substrate.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use proptest::prelude::*;
 use sp_exec::cron::CivilTime;
-use sp_exec::{ChainDef, CronSchedule, JobPool, JobResult, JobSpec, JobStatus, StageDef};
+use sp_exec::{ChainDef, CronSchedule, JobId, JobIdGenerator, StageDef, WorkStealingPool};
 
 proptest! {
     /// `next_after` always returns a strictly later, minute-aligned time
@@ -66,35 +68,31 @@ proptest! {
         }
     }
 
-    /// The job pool runs every job exactly once and returns results sorted
-    /// by id, independent of thread count.
+    /// The pool behind a run's parallel test batch runs every task exactly
+    /// once and returns results in task-index order — job-id order, since
+    /// ids are allocated in task order — independent of thread count.
     #[test]
     fn job_pool_complete_and_sorted(
         n in 0usize..60,
         threads in 1usize..8,
     ) {
-        let specs: Vec<JobSpec> = (0..n as u64)
-            .map(|i| JobSpec {
-                id: sp_exec::JobId(i),
-                name: format!("job-{i}"),
-                tag: String::new(),
-                image_label: String::new(),
-                submitted_at: 0,
-                inputs: vec![],
+        let ids = JobIdGenerator::new();
+        let jobs: Vec<JobId> = (0..n).map(|_| ids.allocate()).collect();
+        let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+        let run_on = |threads: usize| {
+            WorkStealingPool::new(threads).run(jobs.clone(), |index, job| {
+                runs[index].fetch_add(1, Ordering::SeqCst);
+                (index, job)
             })
-            .collect();
-        let results = JobPool::new(threads).run_batch(specs, |s| JobResult {
-            id: s.id,
-            status: JobStatus::Succeeded,
-            log: String::new(),
-            outputs: vec![],
-            started_at: 0,
-            finished_at: 0,
-        });
+        };
+        let results = run_on(threads);
         prop_assert_eq!(results.len(), n);
-        for (i, r) in results.iter().enumerate() {
-            prop_assert_eq!(r.id.0, i as u64);
+        for (i, (index, job)) in results.iter().enumerate() {
+            prop_assert_eq!(*index, i);
+            prop_assert_eq!(*job, jobs[i]);
+            prop_assert_eq!(runs[i].load(Ordering::SeqCst), 1, "task {} ran once", i);
         }
+        prop_assert_eq!(run_on(1), results);
     }
 
     /// Chain execution: one result per stage; a failing stage's transitive

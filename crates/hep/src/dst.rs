@@ -28,6 +28,17 @@ const DST_MAGIC: &[u8; 4] = b"SPD1";
 const MICRO_MAGIC: &[u8; 4] = b"SPU1";
 const FORMAT_VERSION: u16 = 1;
 
+// Encoded record sizes. Pre-allocation is capped by what the remaining
+// bytes can actually hold, so a corrupt count cannot demand more memory
+// than the stream itself occupies.
+/// A DST event without particles: id, process, weight, four kinematics,
+/// particle count.
+const EVENT_MIN_BYTES: usize = 8 + 1 + 8 * 5 + 2;
+/// One DST particle: pdg, four-vector, charge, status.
+const PARTICLE_BYTES: usize = 4 + 8 * 4 + 1 + 1;
+/// One µDST record: id, process, four kinematics.
+const MICRO_EVENT_BYTES: usize = 8 + 1 + 8 * 4;
+
 /// Errors decoding a DST/µDST stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DstError {
@@ -95,9 +106,9 @@ pub fn read_dst(data: &[u8]) -> Result<Vec<Event>, DstError> {
         return Err(DstError::Truncated);
     }
     let count = cur.get_u32_le() as usize;
-    let mut events = Vec::with_capacity(count);
+    let mut events = Vec::with_capacity(count.min(cur.remaining() / EVENT_MIN_BYTES));
     for _ in 0..count {
-        if cur.remaining() < 8 + 1 + 8 * 5 + 2 {
+        if cur.remaining() < EVENT_MIN_BYTES {
             return Err(DstError::Truncated);
         }
         let id = cur.get_u64_le();
@@ -110,9 +121,9 @@ pub fn read_dst(data: &[u8]) -> Result<Vec<Event>, DstError> {
             w2: cur.get_f64_le(),
         };
         let n = cur.get_u16_le() as usize;
-        let mut particles = Vec::with_capacity(n);
+        let mut particles = Vec::with_capacity(n.min(cur.remaining() / PARTICLE_BYTES));
         for _ in 0..n {
-            if cur.remaining() < 4 + 8 * 4 + 1 + 1 {
+            if cur.remaining() < PARTICLE_BYTES {
                 return Err(DstError::Truncated);
             }
             let pdg_id = cur.get_i32_le();
@@ -189,9 +200,9 @@ pub fn read_micro_dst(data: &[u8]) -> Result<Vec<MicroEvent>, DstError> {
         return Err(DstError::Truncated);
     }
     let count = cur.get_u32_le() as usize;
-    let mut events = Vec::with_capacity(count);
+    let mut events = Vec::with_capacity(count.min(cur.remaining() / MICRO_EVENT_BYTES));
     for _ in 0..count {
-        if cur.remaining() < 8 + 1 + 8 * 4 {
+        if cur.remaining() < MICRO_EVENT_BYTES {
             return Err(DstError::Truncated);
         }
         let id = cur.get_u64_le();
@@ -286,6 +297,24 @@ mod tests {
         let bytes = write_dst(&events);
         let restored = read_dst(&bytes).unwrap();
         assert_eq!(events, restored);
+        assert!(read_dst(b"junk").is_err());
+        assert!(read_dst(&bytes[..bytes.len() - 1]).is_err());
+        assert_eq!(
+            read_dst(&sealed(DST_MAGIC, u32::MAX)).unwrap_err(),
+            DstError::Truncated
+        );
+    }
+
+    /// A well-formed envelope (valid checksum) whose body is nothing but a
+    /// record count: the decoder must reject it without pre-allocating
+    /// `count` records.
+    fn sealed(magic: &[u8; 4], count: u32) -> Vec<u8> {
+        let mut body = magic.to_vec();
+        body.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        body.extend_from_slice(&count.to_le_bytes());
+        let digest = sp_store_digest(&body);
+        body.extend_from_slice(&digest);
+        body
     }
 
     #[test]
@@ -336,6 +365,12 @@ mod tests {
             .collect();
         let bytes = write_micro_dst(&records);
         assert_eq!(read_micro_dst(&bytes).unwrap(), records);
+        assert!(read_micro_dst(b"junk").is_err());
+        assert!(read_micro_dst(&bytes[..bytes.len() - 1]).is_err());
+        assert_eq!(
+            read_micro_dst(&sealed(MICRO_MAGIC, u32::MAX)).unwrap_err(),
+            DstError::Truncated
+        );
     }
 
     #[test]

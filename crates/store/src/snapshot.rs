@@ -363,6 +363,17 @@ pub mod wire {
                 .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
         }
 
+        /// Takes a `u32` element count for a sequence whose elements each
+        /// encode to at least `min_elem_bytes` (minimum 1). `None` when the
+        /// remaining bytes cannot hold that many elements, so a corrupt or
+        /// hostile count can never drive a pre-allocation larger than the
+        /// input itself.
+        pub fn take_count(&mut self, min_elem_bytes: usize) -> Option<usize> {
+            let count = self.take_u32()? as usize;
+            let needed = count.checked_mul(min_elem_bytes.max(1))?;
+            (needed <= self.data.len() - self.pos).then_some(count)
+        }
+
         /// Takes `u32`-length-prefixed bytes.
         pub fn take_bytes(&mut self) -> Option<Vec<u8>> {
             let len = self.take_u32()? as usize;
@@ -503,5 +514,18 @@ mod tests {
         assert_eq!(decode_run_key(&bytes), Some(key));
         assert_eq!(decode_run_key(b"garbage"), None);
         assert_eq!(decode_run_key(&bytes[..bytes.len() - 1]), None);
+    }
+
+    #[test]
+    fn take_count_is_bounded_by_the_remaining_bytes() {
+        let mut bytes = Vec::new();
+        wire::put_u32(&mut bytes, 3);
+        bytes.extend_from_slice(&[0; 12]);
+        assert_eq!(wire::Cursor::new(&bytes).take_count(4), Some(3));
+        assert_eq!(wire::Cursor::new(&bytes).take_count(5), None);
+        assert_eq!(wire::Cursor::new(&bytes).take_count(0), Some(3));
+        let huge = u32::MAX.to_le_bytes();
+        assert_eq!(wire::Cursor::new(&huge).take_count(1), None);
+        assert_eq!(wire::Cursor::new(b"ab").take_count(1), None);
     }
 }
