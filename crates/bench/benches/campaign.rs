@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sp_bench::{desy_deployment, repro_run_config};
-use sp_core::fleet::{Coordinator, Worker};
+use sp_core::fleet::{Coordinator, Worker, CAMPAIGNS_DRAINED};
 use sp_core::{Campaign, CampaignConfig, CampaignOptions, CampaignScheduler, SpSystem};
 use sp_store::WorkQueue;
 
@@ -282,7 +282,7 @@ fn bench_fleet_drain(c: &mut Criterion) {
                                     Worker::new(&local, &queue, format!("w{w}"), 2)
                                         .with_patience(400)
                                         .drain()
-                                        .campaigns_drained
+                                        .counter(CAMPAIGNS_DRAINED)
                                 })
                             })
                             .collect();

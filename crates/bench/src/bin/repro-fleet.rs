@@ -51,7 +51,9 @@
 //! SPRL run log (`<dir>/runlog/`) *before* publishing its campaign
 //! report; after every scenario the parent replays the log and proves it
 //! equal to the collected reports. The chaos scenarios (kill, io-fault)
-//! additionally dump each worker's metrics snapshot on exit.
+//! additionally dump each worker's metrics snapshot on exit. In every
+//! scenario without a killed worker, the merged worker counters must
+//! account for every submission and every run of the collected reports.
 //!
 //! Exit code is non-zero on any report divergence, missing report, or
 //! violated chaos expectation — which is what the `fleet-smoke` CI job
@@ -71,7 +73,10 @@ use std::time::{Duration, Instant};
 use std::sync::Arc;
 
 use sp_bench::{arg_value, desy_deployment, has_flag, repro_run_config, scale_from_args};
-use sp_core::fleet::{fleet_stats, run_log_cells, Coordinator, Worker};
+use sp_core::fleet::{
+    fleet_stats, run_log_cells, Coordinator, Worker, CAMPAIGNS_DRAINED, FAILURES, IO_RETRIES,
+    POLL_IDLE, RENEWALS, RUNS_EXECUTED,
+};
 use sp_core::{
     Campaign, CampaignConfig, CampaignOptions, CampaignScheduler, FleetTicket, SpSystem,
 };
@@ -199,12 +204,12 @@ fn worker_main() {
     println!(
         "[{name}] drained {} campaigns / {} runs ({} failures, {} renewal(s), {} io retrie(s), \
          {} idle polls)",
-        stats.campaigns_drained,
-        stats.runs_executed,
-        stats.failures,
-        stats.renewals,
-        stats.io_retries,
-        stats.poll.idle
+        stats.counter(CAMPAIGNS_DRAINED),
+        stats.counter(RUNS_EXECUTED),
+        stats.counter(FAILURES),
+        stats.counter(RENEWALS),
+        stats.counter(IO_RETRIES),
+        stats.counter(POLL_IDLE)
     );
     if has_flag("--dump-metrics") {
         println!("[{name}] metrics snapshot:");
@@ -529,6 +534,34 @@ fn run_scenario(
         eprintln!("  DIVERGENCE: the killed worker's lease was never reclaimed");
         divergent += 1;
     }
+    if kill_one_after.is_none() {
+        // Cross-process counter check: with no worker killed, every worker
+        // published its counters, so the merged blobs must account for
+        // every submission and every run of the collected reports.
+        let drained = digest.drained.counter(CAMPAIGNS_DRAINED);
+        if drained != tickets.len() as u64 {
+            eprintln!(
+                "  DIVERGENCE: merged worker counters drained {drained} campaign(s), \
+                 {} submitted",
+                tickets.len()
+            );
+            divergent += 1;
+        }
+        let executed = digest.drained.counter(RUNS_EXECUTED);
+        let reported: u64 = coordinator
+            .collect()
+            .iter()
+            .flatten()
+            .map(|report| report.summary.total_runs() as u64)
+            .sum();
+        if executed != reported {
+            eprintln!(
+                "  DIVERGENCE: merged worker counters executed {executed} run(s), \
+                 the collected reports hold {reported}"
+            );
+            divergent += 1;
+        }
+    }
     if slow_ms.is_some() {
         // The liveness contract under test: slow-but-alive workers renew
         // mid-flight, so no lease expires and no repetition is redone.
@@ -540,7 +573,7 @@ fn run_scenario(
             );
             divergent += 1;
         }
-        if digest.drained.renewals == 0 {
+        if digest.drained.counter(RENEWALS) == 0 {
             eprintln!("  DIVERGENCE: no mid-campaign lease renewal ever fired");
             divergent += 1;
         }
@@ -566,14 +599,14 @@ fn run_scenario(
         }
         println!(
             "  flaky disk absorbed: {} io retr(ies), 0 poisoned, 0 quarantined",
-            digest.drained.io_retries
+            digest.drained.counter(IO_RETRIES)
         );
     }
     println!(
         "  drained in {:.2}s ({} reclaim(s), {} renewal(s))",
         elapsed.as_secs_f64(),
         digest.queue.reclaims,
-        digest.drained.renewals
+        digest.drained.counter(RENEWALS)
     );
     print!("{}", indent(&render_fleet_stats(&digest)));
     if !coordinator.drained() {

@@ -32,7 +32,7 @@ use std::process::{Command, Stdio};
 use std::time::Duration;
 
 use sp_bench::{arg_value, desy_deployment, has_flag, repro_run_config, scale_from_args};
-use sp_core::fleet::{Coordinator, Worker};
+use sp_core::fleet::{Coordinator, Worker, CAMPAIGNS_DRAINED, RUNS_EXECUTED};
 use sp_core::{CampaignConfig, CampaignOptions, SpSystem};
 use sp_obs::{CellQuery, RunHistory};
 use sp_report::{render_cell_timeline, render_history_summary, render_status_changes};
@@ -119,7 +119,8 @@ fn worker_main() {
     let stats = worker.drain();
     println!(
         "[{name}] drained {} campaigns / {} runs",
-        stats.campaigns_drained, stats.runs_executed
+        stats.counter(CAMPAIGNS_DRAINED),
+        stats.counter(RUNS_EXECUTED)
     );
 }
 
@@ -220,13 +221,14 @@ fn main() {
     let stats = restorer.drain();
     println!(
         "[restore] restore-worker drained {} campaign(s) ({} runs)",
-        stats.campaigns_drained, stats.runs_executed
+        stats.counter(CAMPAIGNS_DRAINED),
+        stats.counter(RUNS_EXECUTED)
     );
     if !coordinator.drained() {
         eprintln!("  DIVERGENCE: backlog not fully drained after restore");
         divergent += 1;
     }
-    if stats.campaigns_drained == 0 {
+    if stats.counter(CAMPAIGNS_DRAINED) == 0 {
         eprintln!(
             "  DIVERGENCE: the kill landed after the doomed worker finished — \
              the restore phase had nothing to reclaim (raise --slow-ms or lower --kill-after)"

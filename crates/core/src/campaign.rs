@@ -541,33 +541,6 @@ pub struct ScheduleStats {
     pub lanes_stolen: u64,
 }
 
-impl ScheduleStats {
-    /// Accumulates another scheduler's counters into this one. Every
-    /// field counts events owned by exactly one scheduler instance, so
-    /// summing the per-process snapshots of a worker fleet produces one
-    /// fleet digest without double counting (saturating adds, so a
-    /// corrupt snapshot cannot wrap the total).
-    pub fn merge(&mut self, other: &ScheduleStats) {
-        self.campaigns_submitted = self
-            .campaigns_submitted
-            .saturating_add(other.campaigns_submitted);
-        self.campaigns_admitted = self
-            .campaigns_admitted
-            .saturating_add(other.campaigns_admitted);
-        self.campaigns_completed = self
-            .campaigns_completed
-            .saturating_add(other.campaigns_completed);
-        self.campaigns_cancelled = self
-            .campaigns_cancelled
-            .saturating_add(other.campaigns_cancelled);
-        self.rounds = self.rounds.saturating_add(other.rounds);
-        self.lanes_executed = self.lanes_executed.saturating_add(other.lanes_executed);
-        self.lanes_cancelled = self.lanes_cancelled.saturating_add(other.lanes_cancelled);
-        self.lanes_local = self.lanes_local.saturating_add(other.lanes_local);
-        self.lanes_stolen = self.lanes_stolen.saturating_add(other.lanes_stolen);
-    }
-}
-
 /// The collected result of one scheduled campaign.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignReport {

@@ -50,9 +50,9 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 use sp_exec::{
-    Backoff, CancellationToken, PollLoop, PollOutcome, PollStats, ProgressHook, ProgressPoint,
-    RetryPolicy,
+    Backoff, CancellationToken, PollLoop, PollOutcome, ProgressHook, ProgressPoint, RetryPolicy,
 };
+use sp_obs::{MetricsRegistry, MetricsSnapshot};
 use sp_store::snapshot::wire::{self, Cursor};
 use sp_store::{Lease, QueueStats, WorkQueue, WqError};
 
@@ -237,53 +237,95 @@ impl<'a> Coordinator<'a> {
     }
 }
 
-/// Counters of one worker process's drain loop.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WorkerStats {
-    /// Campaigns leased, executed and published by this worker.
-    pub campaigns_drained: u64,
-    /// Validation runs those campaigns performed **and published**: a
-    /// fenced-away execution contributes nothing here — its runs were
-    /// rolled back, and whoever re-leases the work (possibly this same
-    /// worker) counts them on publication. Each (submission, published
-    /// generation) is therefore counted at most once fleet-wide.
-    pub runs_executed: u64,
-    /// Leases abandoned because their payload would not decode or
-    /// execute, plus executions fenced away by mid-flight lease loss.
-    pub failures: u64,
-    /// Mid-campaign lease renewals driven by the executor's progress
-    /// hook (plus between-lease heartbeats, if the caller issues any).
-    pub renewals: u64,
-    /// Queue operations that hit a transient I/O fault and were retried
-    /// under the worker's bounded backoff policy. A flaky disk shows up
-    /// here as retries, not as fenced campaigns or poisoned work.
-    pub io_retries: u64,
-    /// Multi-submission batches flushed through the queue's batched
-    /// publish+release path (one reports-dir and one leases-dir fsync
-    /// each, however many campaigns the batch carried).
-    pub publish_batches: u64,
-    /// Scheduling counters accumulated across the drained campaigns.
-    pub sched: ScheduleStats,
-    /// Poll-loop accounting (worked/idle/slept).
-    pub poll: PollStats,
-}
+// ---- worker counters --------------------------------------------------
+//
+// A worker counts its drain into a private `MetricsRegistry` under these
+// names; `Worker::drain` publishes the snapshot as the worker's `SPMS`
+// blob and `fleet_stats` merges every blob into the fleet digest.
 
-impl WorkerStats {
-    /// Accumulates another worker's counters (same no-double-counting
-    /// argument as [`ScheduleStats::merge`]; sleep durations add).
-    pub fn merge(&mut self, other: &WorkerStats) {
-        self.campaigns_drained = self
-            .campaigns_drained
-            .saturating_add(other.campaigns_drained);
-        self.runs_executed = self.runs_executed.saturating_add(other.runs_executed);
-        self.failures = self.failures.saturating_add(other.failures);
-        self.renewals = self.renewals.saturating_add(other.renewals);
-        self.io_retries = self.io_retries.saturating_add(other.io_retries);
-        self.publish_batches = self.publish_batches.saturating_add(other.publish_batches);
-        self.sched.merge(&other.sched);
-        self.poll.worked = self.poll.worked.saturating_add(other.poll.worked);
-        self.poll.idle = self.poll.idle.saturating_add(other.poll.idle);
-        self.poll.slept = self.poll.slept.saturating_add(other.poll.slept);
+/// Campaigns leased, executed and published by a worker.
+pub const CAMPAIGNS_DRAINED: &str = "fleet.campaigns_drained";
+/// Validation runs those campaigns performed **and published**: a
+/// fenced-away execution contributes nothing here — its runs were rolled
+/// back, and whoever re-leases the work (possibly this same worker)
+/// counts them on publication. Each (submission, published generation)
+/// is therefore counted at most once fleet-wide.
+pub const RUNS_EXECUTED: &str = "fleet.runs_executed";
+/// Leases abandoned because their payload would not decode or execute,
+/// plus executions fenced away by mid-flight lease loss.
+pub const FAILURES: &str = "fleet.failures";
+/// Mid-campaign lease renewals driven by the executor's progress hook.
+pub const RENEWALS: &str = "fleet.renewals";
+/// Queue operations that hit a transient I/O fault and were retried under
+/// the worker's bounded backoff policy. A flaky disk shows up here as
+/// retries, not as fenced campaigns or poisoned work.
+pub const IO_RETRIES: &str = "fleet.io_retries";
+/// Multi-submission batches flushed through the queue's batched
+/// publish+release path (one reports-dir and one leases-dir fsync each,
+/// however many campaigns the batch carried).
+pub const PUBLISH_BATCHES: &str = "fleet.publish_batches";
+/// [`ScheduleStats::campaigns_submitted`] of the published campaigns.
+pub const SCHED_CAMPAIGNS_SUBMITTED: &str = "fleet.sched.campaigns_submitted";
+/// [`ScheduleStats::campaigns_admitted`] of the published campaigns.
+pub const SCHED_CAMPAIGNS_ADMITTED: &str = "fleet.sched.campaigns_admitted";
+/// [`ScheduleStats::campaigns_completed`] of the published campaigns.
+pub const SCHED_CAMPAIGNS_COMPLETED: &str = "fleet.sched.campaigns_completed";
+/// [`ScheduleStats::campaigns_cancelled`] of the published campaigns.
+pub const SCHED_CAMPAIGNS_CANCELLED: &str = "fleet.sched.campaigns_cancelled";
+/// [`ScheduleStats::rounds`] of the published campaigns.
+pub const SCHED_ROUNDS: &str = "fleet.sched.rounds";
+/// [`ScheduleStats::lanes_executed`] of the published campaigns.
+pub const SCHED_LANES_EXECUTED: &str = "fleet.sched.lanes_executed";
+/// [`ScheduleStats::lanes_cancelled`] of the published campaigns.
+pub const SCHED_LANES_CANCELLED: &str = "fleet.sched.lanes_cancelled";
+/// [`ScheduleStats::lanes_local`] of the published campaigns.
+pub const SCHED_LANES_LOCAL: &str = "fleet.sched.lanes_local";
+/// [`ScheduleStats::lanes_stolen`] of the published campaigns.
+pub const SCHED_LANES_STOLEN: &str = "fleet.sched.lanes_stolen";
+/// Drain-loop polls that found work.
+pub const POLL_WORKED: &str = "fleet.poll.worked";
+/// Drain-loop polls that found nothing claimable.
+pub const POLL_IDLE: &str = "fleet.poll.idle";
+/// Milliseconds the drain loop slept in backoff.
+pub const POLL_SLEPT_MS: &str = "fleet.poll.slept_ms";
+
+/// Every counter a worker publishes; each is present in its blob, zero
+/// or not.
+const WORKER_COUNTERS: [&str; 18] = [
+    CAMPAIGNS_DRAINED,
+    RUNS_EXECUTED,
+    FAILURES,
+    RENEWALS,
+    IO_RETRIES,
+    PUBLISH_BATCHES,
+    SCHED_CAMPAIGNS_SUBMITTED,
+    SCHED_CAMPAIGNS_ADMITTED,
+    SCHED_CAMPAIGNS_COMPLETED,
+    SCHED_CAMPAIGNS_CANCELLED,
+    SCHED_ROUNDS,
+    SCHED_LANES_EXECUTED,
+    SCHED_LANES_CANCELLED,
+    SCHED_LANES_LOCAL,
+    SCHED_LANES_STOLEN,
+    POLL_WORKED,
+    POLL_IDLE,
+    POLL_SLEPT_MS,
+];
+
+/// Adds one published campaign's scheduling counters.
+fn count_schedule(counters: &MetricsRegistry, sched: &ScheduleStats) {
+    for (name, value) in [
+        (SCHED_CAMPAIGNS_SUBMITTED, sched.campaigns_submitted as u64),
+        (SCHED_CAMPAIGNS_ADMITTED, sched.campaigns_admitted as u64),
+        (SCHED_CAMPAIGNS_COMPLETED, sched.campaigns_completed as u64),
+        (SCHED_CAMPAIGNS_CANCELLED, sched.campaigns_cancelled as u64),
+        (SCHED_ROUNDS, sched.rounds),
+        (SCHED_LANES_EXECUTED, sched.lanes_executed),
+        (SCHED_LANES_CANCELLED, sched.lanes_cancelled),
+        (SCHED_LANES_LOCAL, sched.lanes_local),
+        (SCHED_LANES_STOLEN, sched.lanes_stolen),
+    ] {
+        counters.counter(name).add(value);
     }
 }
 
@@ -724,16 +766,18 @@ impl<'a> Worker<'a> {
     /// Returns the drained sequence numbers (empty when nothing was
     /// claimable). When nothing drained but an item failed, the first
     /// failure surfaces as the error.
-    pub fn drain_batch(&self, stats: &mut WorkerStats) -> Result<Vec<u64>, FleetError> {
+    ///
+    /// Counts into `counters` under this module's `fleet.*` names.
+    pub fn drain_batch(&self, counters: &MetricsRegistry) -> Result<Vec<u64>, FleetError> {
         let before = self.retry.borrow().retries();
-        let result = self.drain_batch_inner(stats);
-        stats.io_retries = stats
-            .io_retries
-            .saturating_add(self.retry.borrow().retries().saturating_sub(before));
+        let result = self.drain_batch_inner(counters);
+        counters
+            .counter(IO_RETRIES)
+            .add(self.retry.borrow().retries().saturating_sub(before));
         result
     }
 
-    fn drain_batch_inner(&self, stats: &mut WorkerStats) -> Result<Vec<u64>, FleetError> {
+    fn drain_batch_inner(&self, counters: &MetricsRegistry) -> Result<Vec<u64>, FleetError> {
         struct PendingPublish {
             seq: u64,
             submission: sp_store::QueueSubmission,
@@ -787,7 +831,7 @@ impl<'a> Worker<'a> {
             let submission = match self.retry_io(|| self.queue.submission_checked(seq)) {
                 Ok(Some(submission)) => submission,
                 Ok(None) => {
-                    stats.failures += 1;
+                    counters.counter(FAILURES).incr();
                     self.invalid.borrow_mut().insert(seq);
                     if let Some(lease) = held.remove(&seq) {
                         let _ = self.queue.release(&lease);
@@ -795,7 +839,7 @@ impl<'a> Worker<'a> {
                     continue;
                 }
                 Err(error) => {
-                    stats.failures += 1;
+                    counters.counter(FAILURES).incr();
                     if let Some(lease) = held.remove(&seq) {
                         let _ = self.queue.release(&lease);
                     }
@@ -805,7 +849,7 @@ impl<'a> Worker<'a> {
             };
             let Some(config) = decode_campaign_config(&submission.payload) else {
                 let error = FleetError::Codec(format!("submission {seq}"));
-                stats.failures += 1;
+                counters.counter(FAILURES).incr();
                 let _ = self
                     .queue
                     .mark_poisoned(seq, &self.name, &error.to_string());
@@ -847,7 +891,7 @@ impl<'a> Worker<'a> {
                 // Fenced away while idle: never executed here, nothing to
                 // roll back — the work re-leases elsewhere.
                 hand_back_lost(&lease, &error);
-                stats.failures += 1;
+                counters.counter(FAILURES).incr();
                 record_error(error.into(), &mut first_error);
                 continue;
             }
@@ -864,7 +908,7 @@ impl<'a> Worker<'a> {
             let renewer =
                 LeaseRenewer::new(self.queue, lease, self.slowdown).with_siblings(siblings);
             let outcome = self.execute_leased(&submission, config, &renewer);
-            stats.renewals += renewer.renewals();
+            counters.counter(RENEWALS).add(renewer.renewals());
             let (returned, lost_now) = renewer.take_siblings();
             for sibling in returned {
                 held.insert(sibling.seq, sibling);
@@ -881,7 +925,7 @@ impl<'a> Worker<'a> {
                 if let Some((lease, error)) = lost.remove(&item.seq) {
                     self.roll_back_fenced(&item.submission, item.checkpoint);
                     hand_back_lost(&lease, &error);
-                    stats.failures += 1;
+                    counters.counter(FAILURES).incr();
                     record_error(error.into(), &mut first_error);
                 } else {
                     kept.push(item);
@@ -909,7 +953,7 @@ impl<'a> Worker<'a> {
                 }
                 Ok(_) => {
                     self.roll_back_fenced(&submission, checkpoint);
-                    stats.failures += 1;
+                    counters.counter(FAILURES).incr();
                     let error = renewer
                         .take_fenced()
                         .expect("fenced_mid_flight implies a recorded error");
@@ -917,7 +961,7 @@ impl<'a> Worker<'a> {
                 }
                 Err(error) => {
                     self.roll_back_fenced(&submission, checkpoint);
-                    stats.failures += 1;
+                    counters.counter(FAILURES).incr();
                     self.poisoned.borrow_mut().insert(seq);
                     let _ = self.queue.release(&renewer.lease());
                     record_error(error, &mut first_error);
@@ -945,7 +989,7 @@ impl<'a> Worker<'a> {
                     }
                     Err(error) => {
                         self.roll_back_fenced(&item.submission, item.checkpoint);
-                        stats.failures += 1;
+                        counters.counter(FAILURES).incr();
                         if let Some(lease) = held.remove(&item.seq) {
                             let _ = self.queue.release(&lease);
                         }
@@ -970,7 +1014,7 @@ impl<'a> Worker<'a> {
                 .map(|(lease, item)| (lease, item.payload.as_slice()))
                 .collect();
             let verdicts = self.queue.publish_and_release_batch(&items);
-            stats.publish_batches += 1;
+            counters.counter(PUBLISH_BATCHES).incr();
             for ((item, lease), verdict) in
                 pending.into_iter().zip(batch_leases.iter()).zip(verdicts)
             {
@@ -997,13 +1041,13 @@ impl<'a> Worker<'a> {
                                 | WqError::AlreadyReleased { .. }),
                             ) => {
                                 self.roll_back_fenced(&item.submission, item.checkpoint);
-                                stats.failures += 1;
+                                counters.counter(FAILURES).incr();
                                 record_error(error.into(), &mut first_error);
                                 continue;
                             }
                             Err(error) => {
                                 self.roll_back_fenced(&item.submission, item.checkpoint);
-                                stats.failures += 1;
+                                counters.counter(FAILURES).incr();
                                 let _ = self.queue.release(lease);
                                 record_error(error.into(), &mut first_error);
                                 continue;
@@ -1019,7 +1063,7 @@ impl<'a> Worker<'a> {
                         // last renewal and the flush, and the fencing
                         // token kept the commit from landing.
                         self.roll_back_fenced(&item.submission, item.checkpoint);
-                        stats.failures += 1;
+                        counters.counter(FAILURES).incr();
                         record_error(error.into(), &mut first_error);
                         continue;
                     }
@@ -1031,15 +1075,15 @@ impl<'a> Worker<'a> {
                         // lease shrugs it off) so the work re-leases now
                         // instead of after a full expiry.
                         self.roll_back_fenced(&item.submission, item.checkpoint);
-                        stats.failures += 1;
+                        counters.counter(FAILURES).incr();
                         let _ = self.queue.release(lease);
                         record_error(error.into(), &mut first_error);
                         continue;
                     }
                 }
-                stats.campaigns_drained += 1;
-                stats.runs_executed += item.total_runs;
-                stats.sched.merge(&item.sched);
+                counters.counter(CAMPAIGNS_DRAINED).incr();
+                counters.counter(RUNS_EXECUTED).add(item.total_runs);
+                count_schedule(counters, &item.sched);
                 self.completed.borrow_mut().insert(item.seq);
                 sp_obs::global().counter("fleet.publishes").incr();
                 sp_obs::trace::emit_with("worker", "publish", || {
@@ -1059,11 +1103,16 @@ impl<'a> Worker<'a> {
 
     /// The worker main loop: drain until the backlog is complete (or the
     /// idle budget runs out), then publish this worker's counters to the
-    /// queue so any process can merge them into a fleet digest. Each poll
-    /// claims and drains up to a [`with_lease_batch`](Self::with_lease_batch)
-    /// of submissions through the batched publish+release path.
-    pub fn drain(&self) -> WorkerStats {
-        let mut stats = WorkerStats::default();
+    /// queue as an `SPMS` blob so any process can merge them into a fleet
+    /// digest, and add them into [`sp_obs::global`]. Each poll claims and
+    /// drains up to a [`with_lease_batch`](Self::with_lease_batch) of
+    /// submissions through the batched publish+release path. Returns the
+    /// published counters.
+    pub fn drain(&self) -> MetricsSnapshot {
+        let counters = MetricsRegistry::new();
+        for name in WORKER_COUNTERS {
+            counters.counter(name);
+        }
         let seed = sp_store::fnv64(&self.name);
         let mut poll = PollLoop::new(Backoff::for_queue(seed), self.max_idle_polls);
         let poll_stats = poll.run(
@@ -1071,7 +1120,7 @@ impl<'a> Worker<'a> {
                 // Try to work first; the exit check runs only on polls
                 // that found nothing claimable, and against the
                 // per-worker caches.
-                match self.drain_batch(&mut stats) {
+                match self.drain_batch(&counters) {
                     Ok(seqs) if !seqs.is_empty() => PollOutcome::Worked,
                     Ok(_) | Err(_) => {
                         if self.backlog_complete() {
@@ -1084,28 +1133,20 @@ impl<'a> Worker<'a> {
             },
             std::thread::sleep,
         );
-        stats.poll = poll_stats;
-        let payload = encode_worker_stats(&stats);
+        counters.counter(POLL_WORKED).add(poll_stats.worked);
+        counters.counter(POLL_IDLE).add(poll_stats.idle);
+        counters
+            .counter(POLL_SLEPT_MS)
+            .add(poll_stats.slept.as_millis() as u64);
+        let drained = counters.snapshot();
+        let payload = drained.encode();
         let _ = self.retry_io(|| self.queue.publish_worker_stats(&self.name, &payload));
-        // Mirror the end-of-drain aggregates into the process-wide
-        // registry: counters for the drain-loop events, gauges sampling
-        // the queue's health and the system's memo hit rates (the store
-        // cannot push into `sp_obs` itself, so the worker — which sees
-        // both — samples on its way out).
+        // Add the counters into the process-wide registry and sample the
+        // system's memo hit rates as gauges (the store cannot push into
+        // `sp_obs` itself, so the worker — which sees both — samples on
+        // its way out).
         let registry = sp_obs::global();
-        registry
-            .counter("fleet.campaigns_drained")
-            .add(stats.campaigns_drained);
-        registry
-            .counter("fleet.runs_executed")
-            .add(stats.runs_executed);
-        registry.counter("fleet.failures").add(stats.failures);
-        registry.counter("fleet.renewals").add(stats.renewals);
-        registry.counter("fleet.io_retries").add(stats.io_retries);
-        registry
-            .counter("fleet.publish_batches")
-            .add(stats.publish_batches);
-        sp_obs::instrument::sample_queue_stats(registry, &self.queue.stats());
+        registry.add_counters(&drained);
         sp_obs::instrument::sample_cache_stats(
             registry,
             "store.memo.chain",
@@ -1124,35 +1165,39 @@ impl<'a> Worker<'a> {
         sp_obs::trace::emit_with("worker", "drained", || {
             format!(
                 "worker={} campaigns={} failures={}",
-                self.name, stats.campaigns_drained, stats.failures
+                self.name,
+                drained.counter(CAMPAIGNS_DRAINED),
+                drained.counter(FAILURES)
             )
         });
-        stats
+        drained
     }
 }
 
 /// The merged cross-process digest of one fleet drain.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FleetStats {
     /// Queue-level accounting (submissions, completions, reclaims,
     /// corruption drops) derived from the shared directory.
     pub queue: QueueStats,
     /// Worker processes that published counters.
     pub workers: usize,
-    /// Sum of every worker's counters.
-    pub drained: WorkerStats,
+    /// Sum of every worker's counters, under this module's `fleet.*`
+    /// names.
+    pub drained: MetricsSnapshot,
 }
 
 /// Assembles the fleet digest from the queue directory: queue accounting
-/// plus every published worker-stats blob, merged. Any process with the
+/// plus every published worker blob, merged. A blob that is not a valid
+/// `SPMS` snapshot is dropped, never trusted. Any process with the
 /// storage mounted can compute this — no shared memory, no coordinator
 /// privileges.
 pub fn fleet_stats(queue: &WorkQueue) -> FleetStats {
-    let mut drained = WorkerStats::default();
+    let mut drained = MetricsSnapshot::default();
     let mut workers = 0;
     for (_, payload) in queue.worker_stats() {
-        if let Some(stats) = decode_worker_stats(&payload) {
-            drained.merge(&stats);
+        if let Some(snapshot) = MetricsSnapshot::decode(&payload) {
+            drained.merge(&snapshot);
             workers += 1;
         }
     }
@@ -1389,73 +1434,6 @@ pub fn decode_campaign_report(bytes: &[u8], ticket: CampaignTicket) -> Option<Ca
     })
 }
 
-// ---- worker-stats codec ----------------------------------------------
-
-/// Serialises worker counters for the queue's `workers/` area.
-pub fn encode_worker_stats(stats: &WorkerStats) -> Vec<u8> {
-    let mut out = Vec::with_capacity(96);
-    wire::put_u64(&mut out, stats.campaigns_drained);
-    wire::put_u64(&mut out, stats.runs_executed);
-    wire::put_u64(&mut out, stats.failures);
-    wire::put_u64(&mut out, stats.renewals);
-    for value in [
-        stats.sched.campaigns_submitted as u64,
-        stats.sched.campaigns_admitted as u64,
-        stats.sched.campaigns_completed as u64,
-        stats.sched.campaigns_cancelled as u64,
-        stats.sched.rounds,
-        stats.sched.lanes_executed,
-        stats.sched.lanes_cancelled,
-        stats.sched.lanes_local,
-        stats.sched.lanes_stolen,
-    ] {
-        wire::put_u64(&mut out, value);
-    }
-    wire::put_u64(&mut out, stats.poll.worked);
-    wire::put_u64(&mut out, stats.poll.idle);
-    wire::put_u64(&mut out, stats.poll.slept.as_millis() as u64);
-    wire::put_u64(&mut out, stats.io_retries);
-    wire::put_u64(&mut out, stats.publish_batches);
-    out
-}
-
-/// Parses counters serialised by [`encode_worker_stats`].
-pub fn decode_worker_stats(bytes: &[u8]) -> Option<WorkerStats> {
-    let mut cursor = Cursor::new(bytes);
-    let campaigns_drained = cursor.take_u64()?;
-    let runs_executed = cursor.take_u64()?;
-    let failures = cursor.take_u64()?;
-    let renewals = cursor.take_u64()?;
-    let sched = ScheduleStats {
-        campaigns_submitted: cursor.take_u64()? as usize,
-        campaigns_admitted: cursor.take_u64()? as usize,
-        campaigns_completed: cursor.take_u64()? as usize,
-        campaigns_cancelled: cursor.take_u64()? as usize,
-        rounds: cursor.take_u64()?,
-        lanes_executed: cursor.take_u64()?,
-        lanes_cancelled: cursor.take_u64()?,
-        lanes_local: cursor.take_u64()?,
-        lanes_stolen: cursor.take_u64()?,
-    };
-    let poll = PollStats {
-        worked: cursor.take_u64()?,
-        idle: cursor.take_u64()?,
-        slept: Duration::from_millis(cursor.take_u64()?),
-    };
-    let io_retries = cursor.take_u64()?;
-    let publish_batches = cursor.take_u64()?;
-    cursor.finished().then_some(WorkerStats {
-        campaigns_drained,
-        runs_executed,
-        failures,
-        renewals,
-        io_retries,
-        publish_batches,
-        sched,
-        poll,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1553,42 +1531,34 @@ mod tests {
     }
 
     #[test]
-    fn worker_stats_round_trip_and_merge() {
-        let a = WorkerStats {
-            campaigns_drained: 2,
-            runs_executed: 10,
-            failures: 1,
-            renewals: 7,
-            io_retries: 3,
-            publish_batches: 2,
-            sched: ScheduleStats {
-                campaigns_submitted: 2,
-                campaigns_admitted: 2,
-                campaigns_completed: 2,
-                campaigns_cancelled: 0,
-                rounds: 6,
-                lanes_executed: 12,
-                lanes_cancelled: 0,
-                lanes_local: 9,
-                lanes_stolen: 3,
-            },
-            poll: PollStats {
-                worked: 2,
-                idle: 5,
-                slept: Duration::from_millis(321),
-            },
-        };
-        let bytes = encode_worker_stats(&a);
-        assert_eq!(decode_worker_stats(&bytes), Some(a));
-        assert!(decode_worker_stats(&bytes[..bytes.len() - 1]).is_none());
+    fn raw_u64_worker_blob_is_dropped_not_misread() {
+        let dir = std::env::temp_dir().join(format!("sp-fleet-old-blob-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let queue = WorkQueue::open(&dir, 60).expect("queue dir");
+        // The earlier blob layout: twenty raw little-endian `u64` counters
+        // with no magic, version or digest. Every value is distinctive, so
+        // a misread would surface in some counter.
+        let old_values: Vec<u64> = (0..20).map(|i| 0x0BAD_0000 + i).collect();
+        let mut old = Vec::new();
+        for value in &old_values {
+            wire::put_u64(&mut old, *value);
+        }
+        queue.publish_worker_stats("old", &old).expect("old blob");
+        let current = MetricsRegistry::new();
+        current.counter(CAMPAIGNS_DRAINED).add(2);
+        current.counter(RUNS_EXECUTED).add(12);
+        queue
+            .publish_worker_stats("new", &current.snapshot().encode())
+            .expect("new blob");
 
-        let mut merged = a;
-        merged.merge(&a);
-        assert_eq!(merged.campaigns_drained, 4);
-        assert_eq!(merged.renewals, 14);
-        assert_eq!(merged.io_retries, 6);
-        assert_eq!(merged.publish_batches, 4);
-        assert_eq!(merged.sched.lanes_executed, 24);
-        assert_eq!(merged.poll.slept, Duration::from_millis(642));
+        let digest = fleet_stats(&queue);
+        assert_eq!(digest.workers, 1, "only the SPMS blob is a worker");
+        assert_eq!(digest.drained, current.snapshot());
+        assert!(digest
+            .drained
+            .counters
+            .values()
+            .all(|value| !old_values.contains(value)));
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -75,7 +75,6 @@ pub use compare::{Comparator, CompareOutcome, TestOutput};
 pub use experiment::ExperimentDef;
 pub use fleet::{
     fleet_stats, run_log_cells, Coordinator, FleetError, FleetStats, FleetTicket, Worker,
-    WorkerStats,
 };
 pub use inputs::{Assignee, InputCategory};
 pub use ledger::{PruneReport, RunLedger};

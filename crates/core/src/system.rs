@@ -1257,8 +1257,8 @@ impl SpSystem {
         snapshot.encode_with(&digest_pool())
     }
 
-    /// Restores warm state exported by [`export_warm_state`]
-    /// (Self::export_warm_state). The objects the memo entries point at
+    /// Restores warm state exported by
+    /// [`export_warm_state`](Self::export_warm_state). The objects the memo entries point at
     /// must already be in the content store (import the storage first);
     /// trust is earned in layers and anything that fails a layer is
     /// dropped, never served:

@@ -21,13 +21,14 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use sp_build::{DependencyGraph, Package, PackageId, PackageKind};
-use sp_core::fleet::{self, Coordinator, Worker, WorkerStats};
+use sp_core::fleet::{self, Coordinator, Worker};
 use sp_core::{
     Campaign, CampaignConfig, CampaignOptions, ExperimentDef, PreservationLevel, RunConfig,
     SpSystem, TestKind, TestSuite, ValidationTest,
 };
 use sp_env::{catalog, Arch, CodeTrait, Version, VmImageId};
 use sp_exec::ChainDef;
+use sp_obs::{MetricsRegistry, MetricsSnapshot};
 use sp_store::{TimeSource, WorkQueue, WqError};
 
 /// A compact experiment (same construction as the campaign-equivalence
@@ -211,7 +212,7 @@ proptest! {
 
         // The fleet: isolated systems, own queue handles, racing drains.
         let dir_for_workers = dir.clone();
-        let worker_ledgers: Vec<(WorkerStats, Vec<(u64, String)>)> =
+        let worker_ledgers: Vec<(MetricsSnapshot, Vec<(u64, String)>)> =
             std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..fleet_size)
                     .map(|w| {
@@ -241,7 +242,7 @@ proptest! {
 
         let drained_total: u64 = worker_ledgers
             .iter()
-            .map(|(stats, _)| stats.campaigns_drained)
+            .map(|(stats, _)| stats.counter(fleet::CAMPAIGNS_DRAINED))
             .sum();
         prop_assert_eq!(drained_total as usize, campaigns.len());
 
@@ -302,11 +303,18 @@ proptest! {
             );
         }
 
-        // The published fleet digest agrees with the per-thread stats.
+        // The published fleet digest agrees with the per-thread stats,
+        // counter for counter, and every worker published its blob.
         let digest = fleet::fleet_stats(&queue);
         prop_assert_eq!(digest.queue.submissions, campaigns.len());
         prop_assert_eq!(digest.queue.completed, campaigns.len());
-        prop_assert_eq!(digest.drained.campaigns_drained, drained_total);
+        prop_assert_eq!(digest.drained.counter(fleet::CAMPAIGNS_DRAINED), drained_total);
+        let mut merged = MetricsSnapshot::default();
+        for (stats, _) in &worker_ledgers {
+            merged.merge(stats);
+        }
+        prop_assert_eq!(&digest.drained, &merged);
+        prop_assert_eq!(digest.workers, fleet_size);
         prop_assert_eq!(digest.queue.corrupt_dropped, 0);
 
         std::fs::remove_dir_all(&dir).ok();
@@ -364,7 +372,7 @@ fn crashed_worker_is_reclaimed_and_fenced() {
     let (survivor_system, _) = fresh_system();
     let survivor = Worker::new(&survivor_system, &queue, "survivor", 2).with_patience(50);
     let stats = survivor.drain();
-    assert_eq!(stats.campaigns_drained, 1);
+    assert_eq!(stats.counter(fleet::CAMPAIGNS_DRAINED), 1);
     assert!(queue.drained());
     assert_eq!(queue.stats().reclaims, 1, "generation 2 re-leased the work");
 
@@ -457,21 +465,22 @@ fn fenced_mid_flight_execution_rolls_back_and_re_lease_counts_once() {
     let worker = Worker::new(&system, &queue, "w0", 2)
         .with_patience(50)
         .with_lease_batch(1);
-    let mut stats = WorkerStats::default();
+    let counters = MetricsRegistry::new();
 
     // Wall time leaps past the whole lease on every clock read: the first
     // renewal attempt finds the lease expired, records the fencing error,
     // cancels the campaign, and `drain_batch` rolls the absorption back.
     clock.set_step(61);
-    let fenced = worker.drain_batch(&mut stats);
+    let fenced = worker.drain_batch(&counters);
     assert!(
         fenced.is_err(),
         "mid-flight expiry must surface as an error"
     );
-    assert_eq!(stats.failures, 1);
-    assert_eq!(stats.campaigns_drained, 0);
+    assert_eq!(counters.counter(fleet::FAILURES).get(), 1);
+    assert_eq!(counters.counter(fleet::CAMPAIGNS_DRAINED).get(), 0);
     assert_eq!(
-        stats.runs_executed, 0,
+        counters.counter(fleet::RUNS_EXECUTED).get(),
+        0,
         "fenced-away runs are rolled back, never counted"
     );
     assert!(
@@ -485,11 +494,15 @@ fn fenced_mid_flight_execution_rolls_back_and_re_lease_counts_once() {
     // completes it under generation 2.
     clock.set_step(0);
     let drained = worker
-        .drain_batch(&mut stats)
+        .drain_batch(&counters)
         .expect("second attempt drains cleanly");
     assert_eq!(drained, vec![ticket.seq()]);
-    assert_eq!(stats.campaigns_drained, 1);
-    assert_eq!(stats.failures, 1, "only the fenced attempt failed");
+    assert_eq!(counters.counter(fleet::CAMPAIGNS_DRAINED).get(), 1);
+    assert_eq!(
+        counters.counter(fleet::FAILURES).get(),
+        1,
+        "only the fenced attempt failed"
+    );
     assert_eq!(
         queue.stats().reclaims,
         1,
@@ -499,7 +512,7 @@ fn fenced_mid_flight_execution_rolls_back_and_re_lease_counts_once() {
     let report = coordinator.collect().remove(0).expect("report published");
     assert!(!report.cancelled);
     assert_eq!(
-        stats.runs_executed,
+        counters.counter(fleet::RUNS_EXECUTED).get(),
         report.summary.total_runs() as u64,
         "each (submission, published generation) counts exactly once"
     );
@@ -561,10 +574,10 @@ fn slow_worker_renews_through_the_barrier_and_is_never_reclaimed() {
         .with_slowdown(Duration::from_millis(1));
     let stats = worker.drain();
 
-    assert_eq!(stats.campaigns_drained, 1);
-    assert_eq!(stats.failures, 0);
+    assert_eq!(stats.counter(fleet::CAMPAIGNS_DRAINED), 1);
+    assert_eq!(stats.counter(fleet::FAILURES), 0);
     assert!(
-        stats.renewals > 0,
+        stats.counter(fleet::RENEWALS) > 0,
         "the progress hook must have renewed mid-campaign"
     );
     let queue_stats = queue.stats();
@@ -576,7 +589,10 @@ fn slow_worker_renews_through_the_barrier_and_is_never_reclaimed() {
 
     let report = coordinator.collect().remove(0).expect("report published");
     assert!(!report.cancelled);
-    assert_eq!(stats.runs_executed, report.summary.total_runs() as u64);
+    assert_eq!(
+        stats.counter(fleet::RUNS_EXECUTED),
+        report.summary.total_runs() as u64
+    );
     let ids: Vec<u64> = system.ledger().runs().iter().map(|run| run.id.0).collect();
     assert_eq!(ids, (first.0..=last.0).collect::<Vec<u64>>());
 
@@ -598,7 +614,10 @@ fn slow_worker_renews_through_the_barrier_and_is_never_reclaimed() {
 
     // The published fleet digest carries the renewal count.
     let digest = fleet::fleet_stats(&queue);
-    assert_eq!(digest.drained.renewals, stats.renewals);
+    assert_eq!(
+        digest.drained.counter(fleet::RENEWALS),
+        stats.counter(fleet::RENEWALS)
+    );
     assert_eq!(digest.queue.poisoned, 0);
 
     std::fs::remove_dir_all(&dir).ok();
@@ -627,8 +646,12 @@ fn undecodable_submission_is_poisoned_durably_across_restarts() {
     let (first_system, _) = fresh_system();
     let first = Worker::new(&first_system, &queue, "w0", 2).with_patience(3);
     let stats = first.drain();
-    assert_eq!(stats.campaigns_drained, 1, "the intact submission drains");
-    assert!(stats.failures >= 1);
+    assert_eq!(
+        stats.counter(fleet::CAMPAIGNS_DRAINED),
+        1,
+        "the intact submission drains"
+    );
+    assert!(stats.counter(fleet::FAILURES) >= 1);
     assert!(
         queue.is_poisoned(garbage_seq),
         "the undecodable submission is poisoned on the queue, not just in memory"
@@ -647,9 +670,10 @@ fn undecodable_submission_is_poisoned_durably_across_restarts() {
     let (second_system, _) = fresh_system();
     let second = Worker::new(&second_system, &reopened, "w1", 2).with_patience(3);
     let restarted = second.drain();
-    assert_eq!(restarted.campaigns_drained, 0);
+    assert_eq!(restarted.counter(fleet::CAMPAIGNS_DRAINED), 0);
     assert_eq!(
-        restarted.failures, 0,
+        restarted.counter(fleet::FAILURES),
+        0,
         "poison is honoured before leasing, not re-diagnosed"
     );
     assert_eq!(
@@ -697,7 +721,8 @@ fn corrupt_submission_is_never_leased() {
     let worker = Worker::new(&worker_system, &queue, "w0", 2).with_patience(3);
     let stats = worker.drain();
     assert_eq!(
-        stats.campaigns_drained, 1,
+        stats.counter(fleet::CAMPAIGNS_DRAINED),
+        1,
         "only the intact submission executes"
     );
     let reports = coordinator.collect();
@@ -749,7 +774,11 @@ fn flaky_disk_degrades_to_retries_not_poison() {
     let stats = worker.drain();
 
     // Every campaign drained to a trusted report despite the fault rate…
-    assert_eq!(stats.campaigns_drained, 2, "flaky disk must still drain");
+    assert_eq!(
+        stats.counter(fleet::CAMPAIGNS_DRAINED),
+        2,
+        "flaky disk must still drain"
+    );
     let reports = coordinator.collect();
     for ticket in &tickets {
         assert!(
@@ -762,7 +791,7 @@ fn flaky_disk_degrades_to_retries_not_poison() {
 
     // …and the degradation took the intended shape: retries, not verdicts.
     assert!(
-        stats.io_retries > 0,
+        stats.counter(fleet::IO_RETRIES) > 0,
         "a 15% fault rate must exercise the retry policy"
     );
     let queue_stats = queue.stats();

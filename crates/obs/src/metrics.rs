@@ -1,13 +1,12 @@
 //! The process-wide metrics registry.
 //!
-//! The fleet's existing accounting ([`sp_core::WorkerStats`]-style structs)
-//! is end-of-run aggregate state: counters are carried in locals, merged at
-//! the end, and say nothing while the run is in flight. This module adds
-//! the orthogonal, always-on layer: a cheap process-wide registry of named
-//! **monotonic counters**, **gauges** and **fixed-bucket latency
-//! histograms** that any component may bump from any thread, snapshot at
-//! any instant, and ship across processes with the same snapshot/merge/
-//! wire-codec posture as `WorkerStats`.
+//! A cheap registry of named **monotonic counters**, **gauges** and
+//! **fixed-bucket latency histograms** that any component may bump from
+//! any thread and snapshot at any instant. A [`MetricsSnapshot`] is also
+//! the one store of a fleet worker's counters: each worker counts its
+//! drain into a private registry, publishes the snapshot's `SPMS`
+//! encoding next to the queue, and any process merges the published
+//! snapshots into the fleet digest with [`MetricsSnapshot::merge`].
 //!
 //! Cost model: a handle ([`Counter`], [`Gauge`], [`Histogram`]) is an
 //! `Arc` around atomics — one relaxed RMW per bump, no lock. The registry
@@ -228,6 +227,14 @@ impl MetricsRegistry {
             .clone()
     }
 
+    /// Adds every counter of `snapshot` into this registry's counters of
+    /// the same names (gauges and histograms are left alone).
+    pub fn add_counters(&self, snapshot: &MetricsSnapshot) {
+        for (name, value) in &snapshot.counters {
+            self.counter(name).add(*value);
+        }
+    }
+
     /// Freezes every metric into a [`MetricsSnapshot`].
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
@@ -254,8 +261,7 @@ impl MetricsRegistry {
 }
 
 /// A frozen, mergeable, wire-codable view of a registry — the shape one
-/// process publishes and another merges into a fleet-wide digest, exactly
-/// like `WorkerStats`.
+/// process publishes and another merges into a fleet-wide digest.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetricsSnapshot {
     /// Counter values by name.
@@ -267,9 +273,9 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Merges another snapshot: counters and histograms add, gauges take
-    /// the other side's value when present (last writer wins, as with the
-    /// worker-stats blobs).
+    /// Merges another snapshot: counters and histograms add (saturating,
+    /// so a corrupt snapshot cannot wrap a total), gauges take the other
+    /// side's value when present (last writer wins).
     pub fn merge(&mut self, other: &MetricsSnapshot) {
         for (name, value) in &other.counters {
             let slot = self.counters.entry(name.clone()).or_insert(0);
@@ -321,7 +327,9 @@ impl MetricsSnapshot {
     }
 
     /// Parses an encoded snapshot. `None` on any structural or digest
-    /// mismatch — dropped, never trusted.
+    /// mismatch — dropped, never trusted. Every section and bucket count
+    /// is bounded by the bytes left behind it, so a hostile count cannot
+    /// make the decoder loop or allocate beyond its input.
     pub fn decode(bytes: &[u8]) -> Option<MetricsSnapshot> {
         if bytes.len() < 44 || bytes[..4] != METRICS_MAGIC {
             return None;
@@ -337,23 +345,27 @@ impl MetricsSnapshot {
             return None;
         }
         let mut snapshot = MetricsSnapshot::default();
-        for _ in 0..cursor.take_u32()? {
+        // Name length prefix plus one `u64` per counter and gauge.
+        for _ in 0..cursor.take_count(4 + 8)? {
             let name = cursor.take_str()?;
             let value = cursor.take_u64()?;
             snapshot.counters.insert(name, value);
         }
-        for _ in 0..cursor.take_u32()? {
+        for _ in 0..cursor.take_count(4 + 8)? {
             let name = cursor.take_str()?;
             let value = cursor.take_u64()? as i64;
             snapshot.gauges.insert(name, value);
         }
-        for _ in 0..cursor.take_u32()? {
+        // Name length prefix, count, sum and bucket count per histogram.
+        for _ in 0..cursor.take_count(4 + 8 + 8 + 4)? {
             let name = cursor.take_str()?;
             let count = cursor.take_u64()?;
             let sum_us = cursor.take_u64()?;
-            let buckets = (0..cursor.take_u32()?)
-                .map(|_| cursor.take_u64())
-                .collect::<Option<Vec<u64>>>()?;
+            let bucket_count = cursor.take_count(8)?;
+            let mut buckets = Vec::with_capacity(bucket_count);
+            for _ in 0..bucket_count {
+                buckets.push(cursor.take_u64()?);
+            }
             snapshot.histograms.insert(
                 name,
                 HistogramSnapshot {
@@ -413,6 +425,13 @@ mod tests {
         assert_eq!(hist.buckets[0], 1, "5 µs lands in the first bucket");
         assert_eq!(hist.buckets[BUCKETS - 1], 1, "60 s overflows");
         assert_eq!(snap.counter("sp.absent"), 0);
+
+        // Adding a snapshot's counters into a registry adds counters only.
+        registry.add_counters(&snap);
+        let added = registry.snapshot();
+        assert_eq!(added.counter("sp.test.counter"), 12);
+        assert_eq!(added.gauges["sp.test.gauge"], -3);
+        assert_eq!(added.histograms["sp.test.us"].count, 3);
     }
 
     #[test]
@@ -455,6 +474,31 @@ mod tests {
             assert_eq!(MetricsSnapshot::decode(&flipped), None, "flip at {i}");
         }
         assert!(snap.render_text().contains("counter a.b 42"));
+
+        // Structural damage behind a valid digest trailer is dropped too:
+        // a `u32::MAX` counter count with no counters behind it, and a
+        // body cut short by one byte.
+        let with_trailer = |body: &[u8]| {
+            let mut framed = body.to_vec();
+            let mut hasher = Sha256::new();
+            hasher.update(&framed);
+            framed.extend_from_slice(&hasher.finalize());
+            framed
+        };
+        let mut huge = METRICS_MAGIC.to_vec();
+        wire::put_u32(&mut huge, METRICS_VERSION);
+        wire::put_u32(&mut huge, u32::MAX);
+        assert_eq!(MetricsSnapshot::decode(&with_trailer(&huge)), None);
+        let body = &bytes[..bytes.len() - 32];
+        assert_eq!(
+            MetricsSnapshot::decode(&with_trailer(&body[..body.len() - 1])),
+            None
+        );
+        assert_eq!(
+            MetricsSnapshot::decode(&with_trailer(body)),
+            Some(snap.clone()),
+            "the re-framed intact body still decodes"
+        );
     }
 
     #[test]

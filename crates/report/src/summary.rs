@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use sp_core::{CampaignSummary, FleetStats, ScheduleStats};
+use sp_core::{fleet, CampaignSummary, FleetStats, ScheduleStats};
 use sp_store::DigestCacheStats;
 
 use crate::json::JsonValue;
@@ -119,10 +119,36 @@ pub fn render_scheduler_stats(
     table.render()
 }
 
+/// The merged worker counters of the fleet digest, in display order: text
+/// table label, JSON key and counter name.
+const DRAINED_ROWS: [(&str, &str, &str); 11] = [
+    (
+        "campaigns drained",
+        "campaigns_drained",
+        fleet::CAMPAIGNS_DRAINED,
+    ),
+    ("runs executed", "runs_executed", fleet::RUNS_EXECUTED),
+    ("drain failures", "failures", fleet::FAILURES),
+    ("lease renewals", "renewals", fleet::RENEWALS),
+    ("io retries", "io_retries", fleet::IO_RETRIES),
+    ("publish batches", "publish_batches", fleet::PUBLISH_BATCHES),
+    ("scheduler rounds", "sched_rounds", fleet::SCHED_ROUNDS),
+    (
+        "lanes executed",
+        "lanes_executed",
+        fleet::SCHED_LANES_EXECUTED,
+    ),
+    ("lane steals", "lanes_stolen", fleet::SCHED_LANES_STOLEN),
+    ("idle polls", "idle_polls", fleet::POLL_IDLE),
+    ("time slept", "slept_ms", fleet::POLL_SLEPT_MS),
+];
+
 /// Renders the cross-process fleet digest: queue accounting from the
-/// shared directory plus every worker's published counters merged into
-/// one total (`ScheduleStats::merge` / `WorkerStats::merge`, so nothing
-/// is double counted however many processes contributed).
+/// shared directory plus a projection of [`FleetStats::drained`], every
+/// worker's published counters merged into one snapshot by
+/// `MetricsSnapshot::merge` (each counter counts events owned by exactly
+/// one worker, so nothing is double counted however many processes
+/// contributed).
 pub fn render_fleet_stats(stats: &FleetStats) -> String {
     let mut table = TextTable::new(&["fleet", "value"]).align(&[Align::Left, Align::Right]);
     table.row_owned(vec![
@@ -154,50 +180,15 @@ pub fn render_fleet_stats(stats: &FleetStats) -> String {
         stats.queue.quarantined.to_string(),
     ]);
     table.row_owned(vec!["worker processes".into(), stats.workers.to_string()]);
-    table.row_owned(vec![
-        "campaigns drained".into(),
-        stats.drained.campaigns_drained.to_string(),
-    ]);
-    table.row_owned(vec![
-        "runs executed".into(),
-        stats.drained.runs_executed.to_string(),
-    ]);
-    table.row_owned(vec![
-        "drain failures".into(),
-        stats.drained.failures.to_string(),
-    ]);
-    table.row_owned(vec![
-        "lease renewals".into(),
-        stats.drained.renewals.to_string(),
-    ]);
-    table.row_owned(vec![
-        "io retries".into(),
-        stats.drained.io_retries.to_string(),
-    ]);
-    table.row_owned(vec![
-        "publish batches".into(),
-        stats.drained.publish_batches.to_string(),
-    ]);
-    table.row_owned(vec![
-        "scheduler rounds".into(),
-        stats.drained.sched.rounds.to_string(),
-    ]);
-    table.row_owned(vec![
-        "lanes executed".into(),
-        stats.drained.sched.lanes_executed.to_string(),
-    ]);
-    table.row_owned(vec![
-        "lane steals".into(),
-        stats.drained.sched.lanes_stolen.to_string(),
-    ]);
-    table.row_owned(vec![
-        "idle polls".into(),
-        stats.drained.poll.idle.to_string(),
-    ]);
-    table.row_owned(vec![
-        "time slept".into(),
-        format!("{} ms", stats.drained.poll.slept.as_millis()),
-    ]);
+    for (label, _, name) in DRAINED_ROWS {
+        let value = stats.drained.counter(name);
+        let value = if name == fleet::POLL_SLEPT_MS {
+            format!("{value} ms")
+        } else {
+            value.to_string()
+        };
+        table.row_owned(vec![label.into(), value]);
+    }
     table.render()
 }
 
@@ -222,22 +213,9 @@ pub fn fleet_stats_json(stats: &FleetStats) -> JsonValue {
         ("workers", stats.workers.into()),
         (
             "drained",
-            JsonValue::object([
-                ("campaigns_drained", stats.drained.campaigns_drained.into()),
-                ("runs_executed", stats.drained.runs_executed.into()),
-                ("failures", stats.drained.failures.into()),
-                ("renewals", stats.drained.renewals.into()),
-                ("io_retries", stats.drained.io_retries.into()),
-                ("publish_batches", stats.drained.publish_batches.into()),
-                ("sched_rounds", stats.drained.sched.rounds.into()),
-                ("lanes_executed", stats.drained.sched.lanes_executed.into()),
-                ("lanes_stolen", stats.drained.sched.lanes_stolen.into()),
-                ("idle_polls", stats.drained.poll.idle.into()),
-                (
-                    "slept_ms",
-                    (stats.drained.poll.slept.as_millis() as f64).into(),
-                ),
-            ]),
+            JsonValue::object(
+                DRAINED_ROWS.map(|(_, key, name)| (key, stats.drained.counter(name).into())),
+            ),
         ),
     ])
 }
@@ -355,21 +333,16 @@ mod tests {
 
     #[test]
     fn fleet_digest_renders_merged_counters() {
-        use sp_core::WorkerStats;
-        let mut drained = WorkerStats::default();
-        drained.merge(&WorkerStats {
-            campaigns_drained: 3,
-            runs_executed: 42,
-            failures: 1,
-            renewals: 6,
-            sched: ScheduleStats {
-                rounds: 9,
-                lanes_executed: 18,
-                lanes_stolen: 4,
-                ..Default::default()
-            },
-            ..Default::default()
-        });
+        let worker = sp_obs::MetricsRegistry::new();
+        worker.counter(fleet::CAMPAIGNS_DRAINED).add(3);
+        worker.counter(fleet::RUNS_EXECUTED).add(42);
+        worker.counter(fleet::FAILURES).add(1);
+        worker.counter(fleet::RENEWALS).add(6);
+        worker.counter(fleet::SCHED_ROUNDS).add(9);
+        worker.counter(fleet::SCHED_LANES_EXECUTED).add(18);
+        worker.counter(fleet::SCHED_LANES_STOLEN).add(4);
+        let mut drained = sp_obs::MetricsSnapshot::default();
+        drained.merge(&worker.snapshot());
         let stats = FleetStats {
             queue: sp_store::QueueStats {
                 submissions: 4,
@@ -397,7 +370,8 @@ mod tests {
 
     #[test]
     fn fleet_json_carries_failure_surface_counters() {
-        use sp_core::WorkerStats;
+        let worker = sp_obs::MetricsRegistry::new();
+        worker.counter(fleet::IO_RETRIES).add(7);
         let stats = FleetStats {
             queue: sp_store::QueueStats {
                 submissions: 4,
@@ -409,10 +383,7 @@ mod tests {
                 quarantined: 1,
             },
             workers: 2,
-            drained: WorkerStats {
-                io_retries: 7,
-                ..Default::default()
-            },
+            drained: worker.snapshot(),
         };
         let json = fleet_stats_json(&stats).render();
         assert!(json.contains("\"poisoned\":1"));

@@ -17,7 +17,7 @@
 //!
 //! Entries are sorted by path at pack time so that packing is deterministic:
 //! the same logical contents always yield the same bytes, hence the same
-//! [`ObjectId`](crate::ObjectId) — which is what makes artifact
+//! [`ObjectId`] — which is what makes artifact
 //! deduplication across validation runs work.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};

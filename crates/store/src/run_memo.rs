@@ -111,7 +111,7 @@ struct Slot<V> {
 ///
 /// ## Fast keying
 ///
-/// The map is keyed on [`RunKey::fast_key`] — a 128-bit
+/// The map is keyed on `RunKey::fast_key` — a 128-bit
 /// [`crate::fasthash`] digest — under an identity [`FastKeyState`], so a
 /// probe costs one fast hash of the determinants instead of a SipHash
 /// pass over two heap strings, and bucket comparisons are `u128 == u128`
@@ -157,8 +157,8 @@ impl<V: Clone> RunMemo<V> {
     }
 
     /// Looks up the production memoised for `key` together with its
-    /// generation — the token [`invalidate_generation`]
-    /// (Self::invalidate_generation) needs to evict campaign-safely.
+    /// generation — the token
+    /// [`invalidate_generation`](Self::invalidate_generation) needs to evict campaign-safely.
     pub fn entry(&self, key: &RunKey) -> Option<(V, u64)> {
         self.entries
             .read()

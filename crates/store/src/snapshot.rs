@@ -142,7 +142,7 @@ impl Snapshot {
     /// computing the per-entry guard digests. The entries are independent,
     /// so snapshot export can hand the batch to a pool-backed digester
     /// (e.g. `sp_exec::WorkStealingPool`); digests land in entry order
-    /// either way, so the emitted bytes are identical to [`encode`]'s.
+    /// either way, so the emitted bytes are identical to [`encode`](Self::encode)'s.
     pub fn encode_with(&self, digester: &dyn BatchDigester) -> Vec<u8> {
         let guarded: Vec<Vec<u8>> = self
             .sections
@@ -196,7 +196,7 @@ impl Snapshot {
 
     /// [`decode`](Self::decode) with a caller-supplied [`BatchDigester`]
     /// re-computing the per-entry guard digests. The structure is parsed
-    /// first (structural corruption aborts exactly as in [`decode`]), then
+    /// first (structural corruption aborts exactly as in [`decode`](Self::decode)), then
     /// every entry's digest is verified in one batch; mismatching entries
     /// are dropped, never trusted.
     pub fn decode_with(
