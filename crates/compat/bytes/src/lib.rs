@@ -1,9 +1,8 @@
 //! Offline stand-in for the `bytes` crate.
 //!
-//! Implements the subset of the real API this workspace uses: [`Bytes`]
-//! (cheaply clonable, immutable byte buffers), [`BytesMut`] (a growable
-//! builder that freezes into `Bytes`), and the [`Buf`]/[`BufMut`] cursor
-//! traits with little-endian accessors.
+//! Implements the one type this workspace uses: [`Bytes`], the cheaply
+//! clonable, immutable buffer the content store hands out. Encoding and
+//! decoding go through `sp_store::wire`, not through cursor traits here.
 
 use std::ops::Deref;
 use std::sync::Arc;
@@ -15,36 +14,11 @@ pub struct Bytes {
 }
 
 impl Bytes {
-    /// Creates an empty `Bytes`.
-    pub fn new() -> Self {
-        Bytes::default()
-    }
-
     /// Copies a slice into a new `Bytes`.
     pub fn copy_from_slice(data: &[u8]) -> Self {
         Bytes {
             data: Arc::from(data),
         }
-    }
-
-    /// Creates a `Bytes` from a static slice.
-    pub fn from_static(data: &'static [u8]) -> Self {
-        Bytes::copy_from_slice(data)
-    }
-
-    /// Number of bytes.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Copies the contents into a fresh `Vec<u8>`.
-    pub fn to_vec(&self) -> Vec<u8> {
-        self.data.to_vec()
     }
 }
 
@@ -61,12 +35,6 @@ impl AsRef<[u8]> for Bytes {
     }
 }
 
-impl std::borrow::Borrow<[u8]> for Bytes {
-    fn borrow(&self) -> &[u8] {
-        &self.data
-    }
-}
-
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
         Bytes { data: v.into() }
@@ -79,30 +47,6 @@ impl From<&'static [u8]> for Bytes {
     }
 }
 
-impl<const N: usize> From<&'static [u8; N]> for Bytes {
-    fn from(v: &'static [u8; N]) -> Self {
-        Bytes::copy_from_slice(v)
-    }
-}
-
-impl From<String> for Bytes {
-    fn from(s: String) -> Self {
-        Bytes::from(s.into_bytes())
-    }
-}
-
-impl From<&'static str> for Bytes {
-    fn from(s: &'static str) -> Self {
-        Bytes::copy_from_slice(s.as_bytes())
-    }
-}
-
-impl From<BytesMut> for Bytes {
-    fn from(b: BytesMut) -> Self {
-        b.freeze()
-    }
-}
-
 impl PartialEq for Bytes {
     fn eq(&self, other: &Self) -> bool {
         self.data[..] == other.data[..]
@@ -111,290 +55,15 @@ impl PartialEq for Bytes {
 
 impl Eq for Bytes {}
 
-impl PartialEq<[u8]> for Bytes {
-    fn eq(&self, other: &[u8]) -> bool {
-        &self.data[..] == other
-    }
-}
-
-impl PartialEq<Vec<u8>> for Bytes {
-    fn eq(&self, other: &Vec<u8>) -> bool {
-        &self.data[..] == other.as_slice()
-    }
-}
-
-impl std::hash::Hash for Bytes {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.data.hash(state);
-    }
-}
-
 impl std::fmt::Debug for Bytes {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "Bytes({} bytes)", self.data.len())
     }
 }
 
-impl IntoIterator for Bytes {
-    type Item = u8;
-    type IntoIter = std::vec::IntoIter<u8>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.to_vec().into_iter()
-    }
-}
-
-impl<'a> IntoIterator for &'a Bytes {
-    type Item = &'a u8;
-    type IntoIter = std::slice::Iter<'a, u8>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.data.iter()
-    }
-}
-
-/// A growable byte buffer that freezes into [`Bytes`].
-#[derive(Clone, Default, PartialEq, Eq)]
-pub struct BytesMut {
-    data: Vec<u8>,
-}
-
-impl BytesMut {
-    /// Creates an empty buffer.
-    pub fn new() -> Self {
-        BytesMut::default()
-    }
-
-    /// Creates an empty buffer with reserved capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        BytesMut {
-            data: Vec::with_capacity(cap),
-        }
-    }
-
-    /// Number of bytes written so far.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Appends a slice.
-    pub fn extend_from_slice(&mut self, src: &[u8]) {
-        self.data.extend_from_slice(src);
-    }
-
-    /// Converts into an immutable [`Bytes`].
-    pub fn freeze(self) -> Bytes {
-        Bytes::from(self.data)
-    }
-}
-
-impl Deref for BytesMut {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        &self.data
-    }
-}
-
-impl AsRef<[u8]> for BytesMut {
-    fn as_ref(&self) -> &[u8] {
-        &self.data
-    }
-}
-
-impl std::fmt::Debug for BytesMut {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "BytesMut({} bytes)", self.data.len())
-    }
-}
-
-/// Read cursor over a byte source. Implemented for `&[u8]`, which advances
-/// the slice in place exactly like the real crate.
-pub trait Buf {
-    /// Bytes left to read.
-    fn remaining(&self) -> usize;
-    /// Current readable slice.
-    fn chunk(&self) -> &[u8];
-    /// Advances the cursor.
-    fn advance(&mut self, cnt: usize);
-
-    /// Whether any bytes remain.
-    fn has_remaining(&self) -> bool {
-        self.remaining() > 0
-    }
-
-    /// Copies bytes into `dst`, advancing.
-    fn copy_to_slice(&mut self, dst: &mut [u8]) {
-        assert!(self.remaining() >= dst.len(), "buffer underflow");
-        dst.copy_from_slice(&self.chunk()[..dst.len()]);
-        self.advance(dst.len());
-    }
-
-    /// Copies `len` bytes into an owned [`Bytes`], advancing.
-    fn copy_to_bytes(&mut self, len: usize) -> Bytes {
-        assert!(self.remaining() >= len, "buffer underflow");
-        let out = Bytes::copy_from_slice(&self.chunk()[..len]);
-        self.advance(len);
-        out
-    }
-
-    /// Reads one `u8`.
-    fn get_u8(&mut self) -> u8 {
-        let mut b = [0u8; 1];
-        self.copy_to_slice(&mut b);
-        b[0]
-    }
-
-    /// Reads one `i8`.
-    fn get_i8(&mut self) -> i8 {
-        self.get_u8() as i8
-    }
-
-    /// Reads a little-endian `u16`.
-    fn get_u16_le(&mut self) -> u16 {
-        let mut b = [0u8; 2];
-        self.copy_to_slice(&mut b);
-        u16::from_le_bytes(b)
-    }
-
-    /// Reads a little-endian `u32`.
-    fn get_u32_le(&mut self) -> u32 {
-        let mut b = [0u8; 4];
-        self.copy_to_slice(&mut b);
-        u32::from_le_bytes(b)
-    }
-
-    /// Reads a little-endian `i32`.
-    fn get_i32_le(&mut self) -> i32 {
-        let mut b = [0u8; 4];
-        self.copy_to_slice(&mut b);
-        i32::from_le_bytes(b)
-    }
-
-    /// Reads a little-endian `u64`.
-    fn get_u64_le(&mut self) -> u64 {
-        let mut b = [0u8; 8];
-        self.copy_to_slice(&mut b);
-        u64::from_le_bytes(b)
-    }
-
-    /// Reads a little-endian `i64`.
-    fn get_i64_le(&mut self) -> i64 {
-        let mut b = [0u8; 8];
-        self.copy_to_slice(&mut b);
-        i64::from_le_bytes(b)
-    }
-
-    /// Reads a little-endian `f64`.
-    fn get_f64_le(&mut self) -> f64 {
-        f64::from_bits(self.get_u64_le())
-    }
-}
-
-impl Buf for &[u8] {
-    fn remaining(&self) -> usize {
-        self.len()
-    }
-
-    fn chunk(&self) -> &[u8] {
-        self
-    }
-
-    fn advance(&mut self, cnt: usize) {
-        assert!(cnt <= self.len(), "buffer underflow");
-        *self = &self[cnt..];
-    }
-}
-
-/// Write cursor over a growable byte sink.
-pub trait BufMut {
-    /// Appends raw bytes.
-    fn put_slice(&mut self, src: &[u8]);
-
-    /// Writes one `u8`.
-    fn put_u8(&mut self, v: u8) {
-        self.put_slice(&[v]);
-    }
-
-    /// Writes one `i8`.
-    fn put_i8(&mut self, v: i8) {
-        self.put_u8(v as u8);
-    }
-
-    /// Writes a little-endian `u16`.
-    fn put_u16_le(&mut self, v: u16) {
-        self.put_slice(&v.to_le_bytes());
-    }
-
-    /// Writes a little-endian `u32`.
-    fn put_u32_le(&mut self, v: u32) {
-        self.put_slice(&v.to_le_bytes());
-    }
-
-    /// Writes a little-endian `i32`.
-    fn put_i32_le(&mut self, v: i32) {
-        self.put_slice(&v.to_le_bytes());
-    }
-
-    /// Writes a little-endian `u64`.
-    fn put_u64_le(&mut self, v: u64) {
-        self.put_slice(&v.to_le_bytes());
-    }
-
-    /// Writes a little-endian `i64`.
-    fn put_i64_le(&mut self, v: i64) {
-        self.put_slice(&v.to_le_bytes());
-    }
-
-    /// Writes a little-endian `f64`.
-    fn put_f64_le(&mut self, v: f64) {
-        self.put_u64_le(v.to_bits());
-    }
-}
-
-impl BufMut for BytesMut {
-    fn put_slice(&mut self, src: &[u8]) {
-        self.extend_from_slice(src);
-    }
-}
-
-impl BufMut for Vec<u8> {
-    fn put_slice(&mut self, src: &[u8]) {
-        self.extend_from_slice(src);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn round_trip_numbers() {
-        let mut buf = BytesMut::with_capacity(64);
-        buf.put_u8(7);
-        buf.put_i8(-3);
-        buf.put_u16_le(513);
-        buf.put_u32_le(70_000);
-        buf.put_i32_le(-9);
-        buf.put_u64_le(1 << 40);
-        buf.put_f64_le(2.5);
-        buf.put_slice(b"xyz");
-        let frozen = buf.freeze();
-        let mut cur: &[u8] = &frozen;
-        assert_eq!(cur.get_u8(), 7);
-        assert_eq!(cur.get_i8(), -3);
-        assert_eq!(cur.get_u16_le(), 513);
-        assert_eq!(cur.get_u32_le(), 70_000);
-        assert_eq!(cur.get_i32_le(), -9);
-        assert_eq!(cur.get_u64_le(), 1 << 40);
-        assert_eq!(cur.get_f64_le(), 2.5);
-        let mut tail = [0u8; 3];
-        cur.copy_to_slice(&mut tail);
-        assert_eq!(&tail, b"xyz");
-        assert!(!cur.has_remaining());
-    }
 
     #[test]
     fn bytes_equality_and_clone() {

@@ -10,6 +10,7 @@
 
 use sp_hep::hist_io;
 use sp_hep::HistogramSet;
+use sp_store::wire::Cursor;
 use sp_store::{HashingWriter, ObjectId};
 
 /// The output of one validation test, in one of the paper's flavours.
@@ -113,35 +114,23 @@ impl TestOutput {
     /// Deserialises an output written by [`to_bytes`](Self::to_bytes).
     pub fn from_bytes(data: &[u8]) -> Option<TestOutput> {
         let (&tag, rest) = data.split_first()?;
-        match tag {
-            b'Y' => Some(TestOutput::YesNo(*rest.first()? != 0)),
-            b'E' => Some(TestOutput::ExitCode(i32::from_le_bytes(
-                rest.try_into().ok()?,
-            ))),
+        let mut cur = Cursor::new(rest);
+        let output = match tag {
+            b'Y' => TestOutput::YesNo(cur.take_u8()? != 0),
+            b'E' => TestOutput::ExitCode(cur.take_i32()?),
             // Validate UTF-8 in place; only the final String copies.
-            b'T' => Some(TestOutput::Text(std::str::from_utf8(rest).ok()?.to_owned())),
+            b'T' => return Some(TestOutput::Text(std::str::from_utf8(rest).ok()?.to_owned())),
             b'N' => {
                 let mut ns = Vec::new();
-                let mut cur = rest;
-                while !cur.is_empty() {
-                    if cur.len() < 2 {
-                        return None;
-                    }
-                    let len = u16::from_le_bytes([cur[0], cur[1]]) as usize;
-                    cur = &cur[2..];
-                    if cur.len() < len + 8 {
-                        return None;
-                    }
-                    let name = std::str::from_utf8(&cur[..len]).ok()?.to_owned();
-                    let value = f64::from_le_bytes(cur[len..len + 8].try_into().ok()?);
-                    ns.push((name, value));
-                    cur = &cur[len + 8..];
+                while !cur.finished() {
+                    ns.push((cur.take_str16()?, cur.take_f64()?));
                 }
-                Some(TestOutput::Numbers(ns))
+                TestOutput::Numbers(ns)
             }
-            b'H' => hist_io::decode_set(rest).ok().map(TestOutput::Histograms),
-            _ => None,
-        }
+            b'H' => return hist_io::decode_set(rest).ok().map(TestOutput::Histograms),
+            _ => return None,
+        };
+        cur.finished().then_some(output)
     }
 }
 

@@ -53,7 +53,7 @@ use sp_exec::{
     Backoff, CancellationToken, PollLoop, PollOutcome, ProgressHook, ProgressPoint, RetryPolicy,
 };
 use sp_obs::{MetricsRegistry, MetricsSnapshot};
-use sp_store::snapshot::wire::{self, Cursor};
+use sp_store::wire::{self, Cursor};
 use sp_store::{Lease, QueueStats, WorkQueue, WqError};
 
 use crate::campaign::{
@@ -1299,28 +1299,20 @@ pub fn encode_campaign_config(config: &CampaignConfig) -> Vec<u8> {
 /// any structural mismatch.
 pub fn decode_campaign_config(bytes: &[u8]) -> Option<CampaignConfig> {
     let mut cursor = Cursor::new(bytes);
-    let experiment_count = cursor.take_count(4)?;
-    let mut experiments = Vec::with_capacity(experiment_count);
-    for _ in 0..experiment_count {
-        experiments.push(cursor.take_str()?);
-    }
-    let image_count = cursor.take_count(4)?;
-    let mut images = Vec::with_capacity(image_count);
-    for _ in 0..image_count {
-        images.push(sp_env::VmImageId(cursor.take_u32()?));
-    }
+    let experiments = cursor.take_seq(4, Cursor::take_str)?;
+    let images = cursor.take_seq(4, |c| c.take_u32().map(sp_env::VmImageId))?;
     let repetitions = cursor.take_u64()? as usize;
     let run = RunConfig {
         seed: cursor.take_u64()?,
         scale: f64::from_bits(cursor.take_u64()?),
         threads: cursor.take_u64()? as usize,
         description: cursor.take_str()?,
-        memoize: cursor.take(1)?[0] != 0,
+        memoize: cursor.take_u8()? != 0,
     };
     let interval_secs = cursor.take_u64()?;
     let options = CampaignOptions {
-        memoize: cursor.take(1)?[0] != 0,
-        image_parallel: cursor.take(1)?[0] != 0,
+        memoize: cursor.take_u8()? != 0,
+        image_parallel: cursor.take_u8()? != 0,
     };
     cursor.finished().then_some(CampaignConfig {
         experiments,
@@ -1344,7 +1336,7 @@ fn put_cell_status(out: &mut Vec<u8>, status: CellStatus) {
 }
 
 fn take_cell_status(cursor: &mut Cursor<'_>) -> Option<CellStatus> {
-    Some(match cursor.take(1)?[0] {
+    Some(match cursor.take_u8()? {
         0 => CellStatus::Pass,
         1 => CellStatus::Warnings,
         2 => CellStatus::Fail,
@@ -1392,41 +1384,31 @@ pub fn encode_campaign_report(report: &CampaignReport) -> Vec<u8> {
 pub fn decode_campaign_report(bytes: &[u8], ticket: CampaignTicket) -> Option<CampaignReport> {
     let mut cursor = Cursor::new(bytes);
     let completed_repetitions = cursor.take_u64()? as usize;
-    let cancelled = cursor.take(1)?[0] != 0;
+    let cancelled = cursor.take_u8()? != 0;
     // id, two length-prefixed strings, timestamp, three counters, flag.
-    let run_count = cursor.take_count(8 + 4 + 4 + 8 + 3 * 8 + 1)?;
-    let mut runs = Vec::with_capacity(run_count);
-    for _ in 0..run_count {
-        runs.push(RunRecord {
-            id: RunId(cursor.take_u64()?),
-            experiment: cursor.take_str()?,
-            image_label: cursor.take_str()?,
-            timestamp: cursor.take_u64()?,
-            passed: cursor.take_u64()? as usize,
-            failed: cursor.take_u64()? as usize,
-            skipped: cursor.take_u64()? as usize,
-            successful: cursor.take(1)?[0] != 0,
-        });
-    }
-    let cell_count = cursor.take_u32()?;
-    let mut cells = BTreeMap::new();
-    for _ in 0..cell_count {
-        let experiment = cursor.take_str()?;
-        let group = cursor.take_str()?;
-        let image = cursor.take_str()?;
-        let status = take_cell_status(&mut cursor)?;
-        cells.insert((experiment, group, image), status);
-    }
-    let label_count = cursor.take_count(4)?;
-    let mut image_labels = Vec::with_capacity(label_count);
-    for _ in 0..label_count {
-        image_labels.push(cursor.take_str()?);
-    }
+    let runs = cursor.take_seq(8 + 4 + 4 + 8 + 3 * 8 + 1, |c| {
+        Some(RunRecord {
+            id: RunId(c.take_u64()?),
+            experiment: c.take_str()?,
+            image_label: c.take_str()?,
+            timestamp: c.take_u64()?,
+            passed: c.take_u64()? as usize,
+            failed: c.take_u64()? as usize,
+            skipped: c.take_u64()? as usize,
+            successful: c.take_u8()? != 0,
+        })
+    })?;
+    // Three length-prefixed strings and a status byte per cell.
+    let cells = cursor.take_seq(4 + 4 + 4 + 1, |c| {
+        let key = (c.take_str()?, c.take_str()?, c.take_str()?);
+        Some((key, take_cell_status(c)?))
+    })?;
+    let image_labels = cursor.take_seq(4, Cursor::take_str)?;
     cursor.finished().then_some(CampaignReport {
         ticket,
         summary: CampaignSummary {
             runs,
-            cells,
+            cells: cells.into_iter().collect(),
             image_labels,
         },
         completed_repetitions,

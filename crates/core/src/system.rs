@@ -1181,7 +1181,7 @@ impl SpSystem {
         test: &ValidationTest,
         stage: &str,
         name: &str,
-        bytes: impl Into<bytes::Bytes>,
+        bytes: Vec<u8>,
     ) -> ObjectId {
         self.storage.put_named(
             StorageArea::Results,

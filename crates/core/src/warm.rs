@@ -3,7 +3,7 @@
 //! [`crate::SpSystem`] keeps three run memos (chain productions, output
 //! content addresses, build reports) plus the storage digest cache. This
 //! module serialises their *values* into the length-prefixed wire format
-//! of [`sp_store::snapshot`]; the snapshot container contributes the
+//! of [`sp_store::wire`]; the [`sp_store::snapshot`] container contributes the
 //! versioned header and the per-entry digests that make a restart never
 //! trust a corrupted entry.
 //!
@@ -28,7 +28,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use sp_build::{BuildReport, BuildStatus, PackageId};
-use sp_store::snapshot::wire::{self, Cursor};
+use sp_store::wire::{self, Cursor};
 use sp_store::ObjectId;
 
 use crate::run::TestStatus;
@@ -100,13 +100,14 @@ fn put_object_id(out: &mut Vec<u8>, id: ObjectId) {
     out.extend_from_slice(&id.0);
 }
 
-/// Smallest encoding of one named output: name length prefix + object id.
-const OUTPUT_MIN_BYTES: usize = 4 + 32;
-
 fn take_object_id(cursor: &mut Cursor<'_>) -> Option<ObjectId> {
-    cursor
-        .take(32)
-        .and_then(|raw| raw.try_into().ok().map(ObjectId))
+    cursor.take_array().map(ObjectId)
+}
+
+/// Takes named outputs, each a name length prefix and an object id at
+/// least.
+fn take_outputs(cursor: &mut Cursor<'_>) -> Option<Vec<(String, ObjectId)>> {
+    cursor.take_seq(4 + 32, |c| Some((c.take_str()?, take_object_id(c)?)))
 }
 
 // ---- test statuses ---------------------------------------------------
@@ -130,7 +131,7 @@ fn put_status(out: &mut Vec<u8>, status: &TestStatus) {
 }
 
 fn take_status(cursor: &mut Cursor<'_>) -> Option<TestStatus> {
-    Some(match cursor.take(1)?[0] {
+    Some(match cursor.take_u8()? {
         0 => TestStatus::Passed,
         1 => TestStatus::PassedWithWarnings(cursor.take_u64()? as usize),
         2 => TestStatus::Failed(take_failure(cursor)?),
@@ -166,7 +167,7 @@ fn put_failure(out: &mut Vec<u8>, kind: &FailureKind) {
 }
 
 fn take_failure(cursor: &mut Cursor<'_>) -> Option<FailureKind> {
-    Some(match cursor.take(1)?[0] {
+    Some(match cursor.take_u8()? {
         0 => FailureKind::CompileError,
         1 => FailureKind::DependencyFailed(cursor.take_str()?),
         2 => FailureKind::Crash(cursor.take_str()?),
@@ -188,7 +189,7 @@ fn put_category(out: &mut Vec<u8>, category: TestCategory) {
 }
 
 fn take_category(cursor: &mut Cursor<'_>) -> Option<TestCategory> {
-    Some(match cursor.take(1)?[0] {
+    Some(match cursor.take_u8()? {
         0 => TestCategory::Compilation,
         1 => TestCategory::UnitCheck,
         2 => TestCategory::StandaloneExecutable,
@@ -223,28 +224,15 @@ pub(crate) fn decode_chain(bytes: &[u8]) -> Option<MemoizedChain> {
     take_value_header(&mut cursor)?;
     // stage name + test id (length prefixes), category, status tag,
     // output count.
-    let stage_count = cursor.take_count(4 + 4 + 1 + 1 + 4)?;
-    let mut stages = Vec::with_capacity(stage_count);
-    for _ in 0..stage_count {
-        let stage = cursor.take_str()?;
-        let test = TestId::new(cursor.take_str()?);
-        let category = take_category(&mut cursor)?;
-        let status = take_status(&mut cursor)?;
-        let output_count = cursor.take_count(OUTPUT_MIN_BYTES)?;
-        let mut outputs = Vec::with_capacity(output_count);
-        for _ in 0..output_count {
-            let name = cursor.take_str()?;
-            let oid = take_object_id(&mut cursor)?;
-            outputs.push((name, oid));
-        }
-        stages.push(MemoizedStage {
-            stage,
-            test,
-            category,
-            status,
-            outputs,
-        });
-    }
+    let stages = cursor.take_seq(4 + 4 + 1 + 1 + 4, |c| {
+        Some(MemoizedStage {
+            stage: c.take_str()?,
+            test: TestId::new(c.take_str()?),
+            category: take_category(c)?,
+            status: take_status(c)?,
+            outputs: take_outputs(c)?,
+        })
+    })?;
     cursor.finished().then_some(MemoizedChain { stages })
 }
 
@@ -275,20 +263,8 @@ pub(crate) fn decode_reference_tests(
 ) -> Option<BTreeMap<String, crate::ledger::TestOutputs>> {
     let mut cursor = Cursor::new(bytes);
     take_value_header(&mut cursor)?;
-    let test_count = cursor.take_u32()?;
-    let mut tests = BTreeMap::new();
-    for _ in 0..test_count {
-        let test = cursor.take_str()?;
-        let output_count = cursor.take_count(OUTPUT_MIN_BYTES)?;
-        let mut outputs = Vec::with_capacity(output_count);
-        for _ in 0..output_count {
-            let name = cursor.take_str()?;
-            let oid = take_object_id(&mut cursor)?;
-            outputs.push((name, oid));
-        }
-        tests.insert(test, outputs);
-    }
-    cursor.finished().then_some(tests)
+    let tests = cursor.take_seq(4 + 4, |c| Some((c.take_str()?, take_outputs(c)?)))?;
+    cursor.finished().then(|| tests.into_iter().collect())
 }
 
 // ---- build memo ------------------------------------------------------
@@ -309,7 +285,7 @@ fn put_build_status(out: &mut Vec<u8>, status: &BuildStatus) {
 }
 
 fn take_build_status(cursor: &mut Cursor<'_>) -> Option<BuildStatus> {
-    Some(match cursor.take(1)?[0] {
+    Some(match cursor.take_u8()? {
         0 => BuildStatus::Built,
         1 => BuildStatus::BuiltWithWarnings(cursor.take_u64()? as usize),
         2 => BuildStatus::Failed,
@@ -346,37 +322,30 @@ pub(crate) fn decode_build_report(bytes: &[u8]) -> Option<Arc<BuildReport>> {
     let mut cursor = Cursor::new(bytes);
     take_value_header(&mut cursor)?;
     let env_label = cursor.take_str()?;
-    let order_count = cursor.take_count(4)?;
-    let mut order = Vec::with_capacity(order_count);
-    for _ in 0..order_count {
-        order.push(PackageId::new(cursor.take_str()?));
-    }
-    let record_count = cursor.take_u32()?;
-    let mut records = BTreeMap::new();
-    for _ in 0..record_count {
-        let package = PackageId::new(cursor.take_str()?);
-        let status = take_build_status(&mut cursor)?;
-        let log = cursor.take_str()?;
-        let artifact = match cursor.take(1)?[0] {
+    let order = cursor.take_seq(4, |c| c.take_str().map(PackageId::new))?;
+    // Package name and log length prefixes, status tag, artifact flag.
+    let records = cursor.take_seq(4 + 1 + 4 + 1, |c| {
+        let package = PackageId::new(c.take_str()?);
+        let status = take_build_status(c)?;
+        let log = c.take_str()?;
+        let artifact = match c.take_u8()? {
             0 => None,
-            1 => Some(take_object_id(&mut cursor)?),
+            1 => Some(take_object_id(c)?),
             _ => return None,
         };
-        records.insert(
-            package.clone(),
-            sp_build::BuildRecord {
-                package,
-                status,
-                log,
-                artifact,
-            },
-        );
-    }
+        let record = sp_build::BuildRecord {
+            package: package.clone(),
+            status,
+            log,
+            artifact,
+        };
+        Some((package, record))
+    })?;
     cursor.finished().then(|| {
         Arc::new(BuildReport {
             env_label,
             order,
-            records,
+            records: records.into_iter().collect(),
         })
     })
 }
@@ -433,6 +402,31 @@ mod tests {
         let bytes = encode_u64_value(7);
         assert_eq!(decode_u64_value(&bytes[..bytes.len() - 1]), None);
         assert_eq!(decode_u64_value(b""), None);
+        assert_total(&bytes, decode_u64_value);
+        assert_total(
+            &encode_object_id(ObjectId::for_bytes(b"x")),
+            decode_object_id,
+        );
+    }
+
+    /// No cut of `valid` decodes; no bit flip of it, and no noise behind
+    /// a valid value header, makes `decode` panic.
+    fn assert_total<T>(valid: &[u8], decode: fn(&[u8]) -> Option<T>) {
+        for cut in 0..valid.len() {
+            assert!(decode(&valid[..cut]).is_none(), "cut at {cut}");
+        }
+        for bit in 0..valid.len() * 8 {
+            let mut flipped = valid.to_vec();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let _ = decode(&flipped);
+        }
+        for len in 0..256u64 {
+            let mut noisy = vec![VALUE_TAG, VALUE_VERSION];
+            noisy.extend(
+                (0..len).map(|i| ((len * 0x9e37_79b9) ^ (i * 0x85eb_ca6b)).to_le_bytes()[2]),
+            );
+            let _ = decode(&noisy);
+        }
     }
 
     #[test]
@@ -468,6 +462,7 @@ mod tests {
         assert!(decode_chain(b"").is_none());
         assert!(decode_chain(b"junk").is_none());
         assert!(decode_chain(&huge_count(&[])).is_none());
+        assert_total(&bytes, decode_chain);
     }
 
     /// A valid value header, `prefix`, then a count of `u32::MAX` with no
@@ -523,6 +518,7 @@ mod tests {
         wire::put_u32(&mut one_test, 1);
         wire::put_str(&mut one_test, "h1/unit/util-0");
         assert!(decode_reference_tests(&huge_count(&one_test)).is_none());
+        assert_total(&bytes, decode_reference_tests);
     }
 
     #[test]
@@ -560,5 +556,6 @@ mod tests {
         let mut env_label = Vec::new();
         wire::put_str(&mut env_label, "SL6/64bit gcc4.4");
         assert!(decode_build_report(&huge_count(&env_label)).is_none());
+        assert_total(&bytes, decode_build_report);
     }
 }

@@ -16,10 +16,18 @@
 //!            | q2 f64 | x f64 | y f64 | w2 f64      (truth kinematics)
 //!            | n u16 | particle*
 //! particle : pdg i32 | e f64 | px f64 | py f64 | pz f64 | charge i8 | status u8
-//! digest   : 32 bytes SHA-256 of everything before it
+//! checksum : 32 bytes, a 4-lane FNV-1a lattice of everything before it
 //! ```
+//!
+//! The µDST layout shares the header and checksum; its records are
+//! `id u64 | process u8 | q2 f64 | x f64 | y f64 | e_prime f64`.
+//!
+//! The checksum detects bit rot; it is not a content address (the storage
+//! layer addresses the whole file by SHA-256). It stays as it is because
+//! changing it would change every conserved DST's bytes, and with them
+//! their content addresses.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use sp_store::wire::{self, Cursor};
 
 use crate::kinematics::{DisKinematics, FourVector};
 use crate::mcgen::{Event, Particle, Process};
@@ -69,91 +77,72 @@ impl std::fmt::Display for DstError {
 impl std::error::Error for DstError {}
 
 /// Serialises events to the DST format.
-pub fn write_dst(events: &[Event]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64 + events.len() * 256);
-    buf.put_slice(DST_MAGIC);
-    buf.put_u16_le(FORMAT_VERSION);
-    buf.put_u32_le(events.len() as u32);
+pub fn write_dst(events: &[Event]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(64 + events.len() * 256);
+    put_header(&mut buf, DST_MAGIC, events.len());
     for event in events {
-        buf.put_u64_le(event.id);
-        buf.put_u8(event.process.code());
-        buf.put_f64_le(event.weight);
-        buf.put_f64_le(event.truth.q2);
-        buf.put_f64_le(event.truth.x);
-        buf.put_f64_le(event.truth.y);
-        buf.put_f64_le(event.truth.w2);
-        buf.put_u16_le(event.particles.len() as u16);
+        wire::put_u64(&mut buf, event.id);
+        buf.push(event.process.code());
+        for v in [
+            event.weight,
+            event.truth.q2,
+            event.truth.x,
+            event.truth.y,
+            event.truth.w2,
+        ] {
+            wire::put_f64(&mut buf, v);
+        }
+        wire::put_u16(&mut buf, event.particles.len() as u16);
         for p in &event.particles {
-            buf.put_i32_le(p.pdg_id);
-            buf.put_f64_le(p.p4.e);
-            buf.put_f64_le(p.p4.px);
-            buf.put_f64_le(p.p4.py);
-            buf.put_f64_le(p.p4.pz);
-            buf.put_i8(p.charge);
-            buf.put_u8(p.status);
+            wire::put_i32(&mut buf, p.pdg_id);
+            for v in [p.p4.e, p.p4.px, p.p4.py, p.p4.pz] {
+                wire::put_f64(&mut buf, v);
+            }
+            buf.push(p.charge as u8);
+            buf.push(p.status);
         }
     }
-    let digest = sp_store_digest(&buf);
-    buf.put_slice(&digest);
-    buf.freeze()
+    seal_checksum(buf)
 }
 
 /// Deserialises a DST stream.
 pub fn read_dst(data: &[u8]) -> Result<Vec<Event>, DstError> {
-    let body = verify_envelope(data, DST_MAGIC)?;
-    let mut cur = &body[6..]; // past magic+version
-    if cur.remaining() < 4 {
-        return Err(DstError::Truncated);
-    }
-    let count = cur.get_u32_le() as usize;
-    let mut events = Vec::with_capacity(count.min(cur.remaining() / EVENT_MIN_BYTES));
-    for _ in 0..count {
-        if cur.remaining() < EVENT_MIN_BYTES {
-            return Err(DstError::Truncated);
-        }
-        let id = cur.get_u64_le();
-        let process = Process::from_code(cur.get_u8()).ok_or(DstError::BadProcess(0))?;
-        let weight = cur.get_f64_le();
-        let truth = DisKinematics {
-            q2: cur.get_f64_le(),
-            x: cur.get_f64_le(),
-            y: cur.get_f64_le(),
-            w2: cur.get_f64_le(),
-        };
-        let n = cur.get_u16_le() as usize;
-        let mut particles = Vec::with_capacity(n.min(cur.remaining() / PARTICLE_BYTES));
-        for _ in 0..n {
-            if cur.remaining() < PARTICLE_BYTES {
-                return Err(DstError::Truncated);
+    read_records(data, DST_MAGIC, EVENT_MIN_BYTES, |cur| {
+        let id = cur.take_u64().ok_or(DstError::Truncated)?;
+        let process = take_process(cur)?;
+        let mut take_rest = || {
+            let weight = cur.take_f64()?;
+            let truth = DisKinematics {
+                q2: cur.take_f64()?,
+                x: cur.take_f64()?,
+                y: cur.take_f64()?,
+                w2: cur.take_f64()?,
+            };
+            let n = cur.take_u16()? as usize;
+            let mut particles = Vec::with_capacity(n.min(cur.remaining() / PARTICLE_BYTES));
+            for _ in 0..n {
+                particles.push(Particle {
+                    pdg_id: cur.take_i32()?,
+                    p4: FourVector::new(
+                        cur.take_f64()?,
+                        cur.take_f64()?,
+                        cur.take_f64()?,
+                        cur.take_f64()?,
+                    ),
+                    charge: cur.take_i8()?,
+                    status: cur.take_u8()?,
+                });
             }
-            let pdg_id = cur.get_i32_le();
-            let p4 = FourVector::new(
-                cur.get_f64_le(),
-                cur.get_f64_le(),
-                cur.get_f64_le(),
-                cur.get_f64_le(),
-            );
-            let charge = cur.get_i8();
-            let status = cur.get_u8();
-            particles.push(Particle {
-                pdg_id,
-                p4,
-                charge,
-                status,
-            });
-        }
-        events.push(Event {
-            id,
-            process,
-            truth,
-            particles,
-            weight,
-        });
-    }
-    if cur.has_remaining() {
-        return Err(DstError::Truncated);
-    }
-    Ok(events)
+            Some(Event {
+                id,
+                process,
+                truth,
+                particles,
+                weight,
+            })
+        };
+        take_rest().ok_or(DstError::Truncated)
+    })
 }
 
 /// A slimmed analysis-level event (µDST record).
@@ -174,83 +163,102 @@ pub struct MicroEvent {
 }
 
 /// Serialises µDST records.
-pub fn write_micro_dst(events: &[MicroEvent]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64 + events.len() * 48);
-    buf.put_slice(MICRO_MAGIC);
-    buf.put_u16_le(FORMAT_VERSION);
-    buf.put_u32_le(events.len() as u32);
+pub fn write_micro_dst(events: &[MicroEvent]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(64 + events.len() * 48);
+    put_header(&mut buf, MICRO_MAGIC, events.len());
     for ev in events {
-        buf.put_u64_le(ev.id);
-        buf.put_u8(ev.process.code());
-        buf.put_f64_le(ev.q2);
-        buf.put_f64_le(ev.x);
-        buf.put_f64_le(ev.y);
-        buf.put_f64_le(ev.e_prime);
+        wire::put_u64(&mut buf, ev.id);
+        buf.push(ev.process.code());
+        for v in [ev.q2, ev.x, ev.y, ev.e_prime] {
+            wire::put_f64(&mut buf, v);
+        }
     }
-    let digest = sp_store_digest(&buf);
-    buf.put_slice(&digest);
-    buf.freeze()
+    seal_checksum(buf)
 }
 
 /// Deserialises a µDST stream.
 pub fn read_micro_dst(data: &[u8]) -> Result<Vec<MicroEvent>, DstError> {
-    let body = verify_envelope(data, MICRO_MAGIC)?;
-    let mut cur = &body[6..];
-    if cur.remaining() < 4 {
-        return Err(DstError::Truncated);
-    }
-    let count = cur.get_u32_le() as usize;
-    let mut events = Vec::with_capacity(count.min(cur.remaining() / MICRO_EVENT_BYTES));
-    for _ in 0..count {
-        if cur.remaining() < MICRO_EVENT_BYTES {
-            return Err(DstError::Truncated);
-        }
-        let id = cur.get_u64_le();
-        let code = cur.get_u8();
-        let process = Process::from_code(code).ok_or(DstError::BadProcess(code))?;
-        events.push(MicroEvent {
-            id,
-            process,
-            q2: cur.get_f64_le(),
-            x: cur.get_f64_le(),
-            y: cur.get_f64_le(),
-            e_prime: cur.get_f64_le(),
-        });
-    }
-    if cur.has_remaining() {
-        return Err(DstError::Truncated);
-    }
-    Ok(events)
+    read_records(data, MICRO_MAGIC, MICRO_EVENT_BYTES, |cur| {
+        let id = cur.take_u64().ok_or(DstError::Truncated)?;
+        let process = take_process(cur)?;
+        let mut take_rest = || {
+            Some(MicroEvent {
+                id,
+                process,
+                q2: cur.take_f64()?,
+                x: cur.take_f64()?,
+                y: cur.take_f64()?,
+                e_prime: cur.take_f64()?,
+            })
+        };
+        take_rest().ok_or(DstError::Truncated)
+    })
 }
 
-/// Checks magic, version and trailing checksum; returns the body slice
-/// (including magic+version, excluding the digest).
-fn verify_envelope<'a>(data: &'a [u8], magic: &[u8; 4]) -> Result<&'a [u8], DstError> {
+fn put_header(buf: &mut Vec<u8>, magic: &[u8; 4], count: usize) {
+    buf.extend_from_slice(magic);
+    wire::put_u16(buf, FORMAT_VERSION);
+    wire::put_u32(buf, count as u32);
+}
+
+/// Appends the checksum trailer over everything written so far.
+fn seal_checksum(mut buf: Vec<u8>) -> Vec<u8> {
+    let checksum = fnv_lattice(&buf);
+    buf.extend_from_slice(&checksum);
+    buf
+}
+
+/// Reads a DST-family stream: checks the trailing checksum, magic and
+/// version, then reads the counted records with `take_record`. The count
+/// is refused when the body cannot hold that many records of at least
+/// `min_record_bytes`, so it never drives a larger pre-allocation than the
+/// stream itself, and every byte of the body must belong to a record.
+fn read_records<T>(
+    data: &[u8],
+    magic: &[u8; 4],
+    min_record_bytes: usize,
+    mut take_record: impl FnMut(&mut Cursor<'_>) -> Result<T, DstError>,
+) -> Result<Vec<T>, DstError> {
     if data.len() < 4 + 2 + 4 + 32 {
         return Err(DstError::Truncated);
     }
-    let (body, digest) = data.split_at(data.len() - 32);
-    if sp_store_digest(body) != digest {
+    let (body, checksum) = data.split_at(data.len() - 32);
+    if fnv_lattice(body)[..] != *checksum {
         return Err(DstError::ChecksumMismatch);
     }
-    if &body[..4] != magic {
+    let mut cur = Cursor::new(body);
+    if cur.take_array() != Some(*magic) {
         return Err(DstError::BadMagic);
     }
-    let version = u16::from_le_bytes([body[4], body[5]]);
+    let version = cur.take_u16().ok_or(DstError::Truncated)?;
     if version != FORMAT_VERSION {
         return Err(DstError::BadVersion(version));
     }
-    Ok(body)
+    let count = cur
+        .take_count(min_record_bytes)
+        .ok_or(DstError::Truncated)?;
+    let mut records = Vec::with_capacity(count);
+    for _ in 0..count {
+        records.push(take_record(&mut cur)?);
+    }
+    if !cur.finished() {
+        return Err(DstError::Truncated);
+    }
+    Ok(records)
 }
 
-/// Local SHA-256 via a tiny FNV-free re-implementation? No — the format
-/// simply reuses the same digest as the storage layer would compute, but to
-/// keep `sp-hep` free of the storage dependency the digest here is an
-/// independent 32-byte FNV-1a lattice: 4 parallel 64-bit FNV streams with
-/// different offsets. Collision resistance is irrelevant for bit-rot
-/// detection; determinism and avalanche on single-bit flips are what the
-/// tests require.
-fn sp_store_digest(data: &[u8]) -> [u8; 32] {
+fn take_process(cur: &mut Cursor<'_>) -> Result<Process, DstError> {
+    let code = cur.take_u8().ok_or(DstError::Truncated)?;
+    Process::from_code(code).ok_or(DstError::BadProcess(code))
+}
+
+/// The DST checksum: four interleaved 64-bit FNV-1a streams with
+/// different offsets (byte `i` feeds lane `i % 4`, mixed with its
+/// position), folded together by a final mixing pass so every output byte
+/// depends on every input byte. Collision resistance is irrelevant for
+/// bit-rot detection; determinism and avalanche on single-bit flips are
+/// what the tests require.
+fn fnv_lattice(data: &[u8]) -> [u8; 32] {
     const OFFSETS: [u64; 4] = [
         0xcbf29ce484222325,
         0x9e3779b97f4a7c15,
@@ -303,18 +311,42 @@ mod tests {
             read_dst(&sealed(DST_MAGIC, u32::MAX)).unwrap_err(),
             DstError::Truncated
         );
+        assert_total(&write_dst(&sample_events(2)), read_dst);
+        let mut body = bytes[..bytes.len() - 32].to_vec();
+        body[10 + 8] = 0xee; // the first event's process code, after its id
+        let unknown_process = read_dst(&seal_checksum(body));
+        assert_eq!(unknown_process, Err(DstError::BadProcess(0xee)));
     }
 
     /// A well-formed envelope (valid checksum) whose body is nothing but a
     /// record count: the decoder must reject it without pre-allocating
     /// `count` records.
     fn sealed(magic: &[u8; 4], count: u32) -> Vec<u8> {
-        let mut body = magic.to_vec();
-        body.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        body.extend_from_slice(&count.to_le_bytes());
-        let digest = sp_store_digest(&body);
-        body.extend_from_slice(&digest);
-        body
+        let mut body = Vec::new();
+        put_header(&mut body, magic, count as usize);
+        seal_checksum(body)
+    }
+
+    /// Damages the body behind a recomputed checksum, so the structural
+    /// reader sees every cut, every bit flip, and noise after the header:
+    /// nothing panics, and no cut decodes.
+    fn assert_total<T>(bytes: &[u8], read: fn(&[u8]) -> Result<T, DstError>) {
+        let body = &bytes[..bytes.len() - 32];
+        for cut in 0..body.len() {
+            assert!(read(&seal_checksum(body[..cut].to_vec())).is_err());
+        }
+        for bit in 0..body.len() * 8 {
+            let mut flipped = body.to_vec();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let _ = read(&seal_checksum(flipped));
+        }
+        for len in 0..256u64 {
+            let mut noisy = body[..6].to_vec();
+            noisy.extend(
+                (0..len).map(|i| ((len * 0x9e37_79b9) ^ (i * 0x85eb_ca6b)).to_le_bytes()[2]),
+            );
+            let _ = read(&seal_checksum(noisy));
+        }
     }
 
     #[test]
@@ -371,6 +403,7 @@ mod tests {
             read_micro_dst(&sealed(MICRO_MAGIC, u32::MAX)).unwrap_err(),
             DstError::Truncated
         );
+        assert_total(&bytes, read_micro_dst);
     }
 
     #[test]
@@ -397,10 +430,10 @@ mod tests {
 
     #[test]
     fn digest_avalanche() {
-        let a = sp_store_digest(b"the same payload");
+        let a = fnv_lattice(b"the same payload");
         let mut flipped = b"the same payload".to_vec();
         flipped[0] ^= 1;
-        let b = sp_store_digest(&flipped);
+        let b = fnv_lattice(&flipped);
         let differing_bytes = a.iter().zip(b.iter()).filter(|(x, y)| x != y).count();
         assert!(differing_bytes > 8, "weak avalanche: {differing_bytes}");
     }

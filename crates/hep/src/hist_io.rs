@@ -10,8 +10,13 @@
 //!         | counts f64* | sumw2 f64* | underflow f64 | overflow f64
 //!         | entries u64 | sum_w f64 | sum_wx f64 | sum_wx2 f64
 //! ```
+//!
+//! Decoding reads through [`sp_store::wire::Cursor`], so a truncated or
+//! corrupt stream is an error, never a panic, and refuses a histogram
+//! that [`Histogram1D::new`] would refuse: no bins, or a range that is
+//! not finite and increasing.
 
-use bytes::{Buf, Bytes};
+use sp_store::wire::Cursor;
 
 use crate::hist::{Histogram1D, HistogramSet};
 
@@ -29,6 +34,8 @@ pub enum HistIoError {
     Truncated,
     /// Histogram name is not UTF-8.
     BadName,
+    /// No bins, or a range that is not finite and increasing.
+    BadAxis,
 }
 
 impl std::fmt::Display for HistIoError {
@@ -38,6 +45,7 @@ impl std::fmt::Display for HistIoError {
             HistIoError::BadVersion(v) => write!(f, "unsupported histogram version {v}"),
             HistIoError::Truncated => write!(f, "truncated histogram stream"),
             HistIoError::BadName => write!(f, "invalid histogram name"),
+            HistIoError::BadAxis => write!(f, "invalid histogram binning"),
         }
     }
 }
@@ -45,10 +53,10 @@ impl std::fmt::Display for HistIoError {
 impl std::error::Error for HistIoError {}
 
 /// Serialises a histogram set.
-pub fn encode_set(set: &HistogramSet) -> Bytes {
+pub fn encode_set(set: &HistogramSet) -> Vec<u8> {
     let mut buf = Vec::with_capacity(64 + set.len() * 512);
     encode_set_with(set, &mut |bytes| buf.extend_from_slice(bytes));
-    Bytes::from(buf)
+    buf
 }
 
 /// Streams the set encoding through `emit` field by field, so callers can
@@ -65,25 +73,20 @@ pub fn encode_set_with(set: &HistogramSet, emit: &mut dyn FnMut(&[u8])) {
 
 /// Deserialises a histogram set.
 pub fn decode_set(data: &[u8]) -> Result<HistogramSet, HistIoError> {
-    let mut cur = data;
-    if cur.remaining() < 10 {
-        return Err(HistIoError::Truncated);
-    }
-    let mut magic = [0u8; 4];
-    cur.copy_to_slice(&mut magic);
-    if magic != *MAGIC {
+    let mut cur = Cursor::new(data);
+    if cur.take_array::<4>().ok_or(HistIoError::Truncated)? != *MAGIC {
         return Err(HistIoError::BadMagic);
     }
-    let version = cur.get_u16_le();
+    let version = cur.take_u16().ok_or(HistIoError::Truncated)?;
     if version != VERSION {
         return Err(HistIoError::BadVersion(version));
     }
-    let count = cur.get_u32_le() as usize;
+    let count = cur.take_u32().ok_or(HistIoError::Truncated)?;
     let mut set = HistogramSet::new();
     for _ in 0..count {
         set.insert(decode_hist(&mut cur)?);
     }
-    if cur.has_remaining() {
+    if !cur.finished() {
         return Err(HistIoError::Truncated);
     }
     Ok(set)
@@ -110,45 +113,50 @@ fn encode_hist_with(hist: &Histogram1D, emit: &mut dyn FnMut(&[u8])) {
     emit(&sum_wx2.to_le_bytes());
 }
 
-fn decode_hist(cur: &mut &[u8]) -> Result<Histogram1D, HistIoError> {
-    if cur.remaining() < 2 {
-        return Err(HistIoError::Truncated);
-    }
-    let name_len = cur.get_u16_le() as usize;
-    if cur.remaining() < name_len {
-        return Err(HistIoError::Truncated);
-    }
-    let name_bytes = cur.copy_to_bytes(name_len);
-    let name = std::str::from_utf8(&name_bytes)
+fn decode_hist(cur: &mut Cursor<'_>) -> Result<Histogram1D, HistIoError> {
+    let name_len = cur.take_u16().ok_or(HistIoError::Truncated)? as usize;
+    let name = cur.take(name_len).ok_or(HistIoError::Truncated)?;
+    let name = std::str::from_utf8(name)
         .map_err(|_| HistIoError::BadName)?
         .to_string();
-    if cur.remaining() < 4 + 16 {
-        return Err(HistIoError::Truncated);
+    // Counts and sumw2 take 16 bytes per bin, so the bin count is bounded
+    // by the bytes left before anything is allocated for it.
+    let nbins = cur.take_count(16).ok_or(HistIoError::Truncated)?;
+    let (lo, hi) = cur
+        .take_f64()
+        .zip(cur.take_f64())
+        .ok_or(HistIoError::Truncated)?;
+    // What `Histogram1D::new` asserts; a NaN or infinite edge fails it.
+    if nbins == 0 || !(lo.is_finite() && hi.is_finite() && lo < hi) {
+        return Err(HistIoError::BadAxis);
     }
-    let nbins = cur.get_u32_le() as usize;
-    let lo = cur.get_f64_le();
-    let hi = cur.get_f64_le();
-    let needed = nbins * 16 + 16 + 8 + 24;
-    if cur.remaining() < needed || nbins == 0 || lo >= hi {
-        return Err(HistIoError::Truncated);
+    let take_rest = || {
+        let counts = take_f64s(cur, nbins)?;
+        let sumw2 = take_f64s(cur, nbins)?;
+        Some(Histogram1D::from_parts(
+            name,
+            nbins,
+            lo,
+            hi,
+            counts,
+            sumw2,
+            cur.take_f64()?,
+            cur.take_f64()?,
+            cur.take_u64()?,
+            cur.take_f64()?,
+            cur.take_f64()?,
+            cur.take_f64()?,
+        ))
+    };
+    take_rest().ok_or(HistIoError::Truncated)
+}
+
+fn take_f64s(cur: &mut Cursor<'_>, n: usize) -> Option<Vec<f64>> {
+    let mut values = Vec::with_capacity(n);
+    for _ in 0..n {
+        values.push(cur.take_f64()?);
     }
-    let mut counts = Vec::with_capacity(nbins);
-    for _ in 0..nbins {
-        counts.push(cur.get_f64_le());
-    }
-    let mut sumw2 = Vec::with_capacity(nbins);
-    for _ in 0..nbins {
-        sumw2.push(cur.get_f64_le());
-    }
-    let underflow = cur.get_f64_le();
-    let overflow = cur.get_f64_le();
-    let entries = cur.get_u64_le();
-    let sum_w = cur.get_f64_le();
-    let sum_wx = cur.get_f64_le();
-    let sum_wx2 = cur.get_f64_le();
-    Ok(Histogram1D::from_parts(
-        name, nbins, lo, hi, counts, sumw2, underflow, overflow, entries, sum_w, sum_wx, sum_wx2,
-    ))
+    Some(values)
 }
 
 #[cfg(test)]
@@ -202,8 +210,24 @@ mod tests {
 
     #[test]
     fn bad_magic_detected() {
-        let mut bytes = encode_set(&sample_set()).to_vec();
+        let mut bytes = encode_set(&sample_set());
         bytes[0] = b'X';
         assert_eq!(decode_set(&bytes).unwrap_err(), HistIoError::BadMagic);
+    }
+
+    #[test]
+    fn bad_binning_rejected() {
+        // `lo` of the first histogram ("q2") sits behind the set header,
+        // the name and the bin count.
+        let lo_at = 10 + 2 + 2 + 4;
+        let valid = encode_set(&sample_set());
+        for edge in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 100.0] {
+            let mut bytes = valid.clone();
+            bytes[lo_at..lo_at + 8].copy_from_slice(&edge.to_le_bytes());
+            assert_eq!(decode_set(&bytes), Err(HistIoError::BadAxis), "lo = {edge}");
+        }
+        let mut no_bins = valid;
+        no_bins[lo_at - 4..lo_at].copy_from_slice(&0u32.to_le_bytes());
+        assert_eq!(decode_set(&no_bins), Err(HistIoError::BadAxis));
     }
 }

@@ -13,9 +13,10 @@
 //! map is only locked when a handle is first created (or a snapshot is
 //! taken), so instrumented hot paths cache their handles.
 //!
-//! The wire codec follows the store conventions: magic `SPMS`, version,
-//! body, SHA-256 over all of it — a snapshot read back from disk or a
-//! queue blob is dropped, never trusted, on any mismatch.
+//! The wire codec is the store's one framing, [`sp_store::wire::seal`]:
+//! magic `SPMS`, version, body, SHA-256 over all of it — a snapshot read
+//! back from disk or a queue blob is dropped, never trusted, on any
+//! mismatch.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -23,8 +24,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::RwLock;
-use sp_store::sha256::Sha256;
-use sp_store::snapshot::wire;
+use sp_store::wire::{self, Cursor};
 
 /// Snapshot-file / blob magic for an encoded [`MetricsSnapshot`].
 pub const METRICS_MAGIC: [u8; 4] = *b"SPMS";
@@ -296,34 +296,28 @@ impl MetricsSnapshot {
 
     /// Serialises the snapshot: magic, version, body, SHA-256 digest.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(256);
-        out.extend_from_slice(&METRICS_MAGIC);
-        wire::put_u32(&mut out, METRICS_VERSION);
-        wire::put_u32(&mut out, self.counters.len() as u32);
+        let mut body = Vec::with_capacity(256);
+        wire::put_u32(&mut body, self.counters.len() as u32);
         for (name, value) in &self.counters {
-            wire::put_str(&mut out, name);
-            wire::put_u64(&mut out, *value);
+            wire::put_str(&mut body, name);
+            wire::put_u64(&mut body, *value);
         }
-        wire::put_u32(&mut out, self.gauges.len() as u32);
+        wire::put_u32(&mut body, self.gauges.len() as u32);
         for (name, value) in &self.gauges {
-            wire::put_str(&mut out, name);
-            wire::put_u64(&mut out, *value as u64);
+            wire::put_str(&mut body, name);
+            wire::put_u64(&mut body, *value as u64);
         }
-        wire::put_u32(&mut out, self.histograms.len() as u32);
+        wire::put_u32(&mut body, self.histograms.len() as u32);
         for (name, hist) in &self.histograms {
-            wire::put_str(&mut out, name);
-            wire::put_u64(&mut out, hist.count);
-            wire::put_u64(&mut out, hist.sum_us);
-            wire::put_u32(&mut out, hist.buckets.len() as u32);
+            wire::put_str(&mut body, name);
+            wire::put_u64(&mut body, hist.count);
+            wire::put_u64(&mut body, hist.sum_us);
+            wire::put_u32(&mut body, hist.buckets.len() as u32);
             for bucket in &hist.buckets {
-                wire::put_u64(&mut out, *bucket);
+                wire::put_u64(&mut body, *bucket);
             }
         }
-        let mut hasher = Sha256::new();
-        hasher.update(&out);
-        let digest = hasher.finalize();
-        out.extend_from_slice(&digest);
-        out
+        wire::seal(&METRICS_MAGIC, METRICS_VERSION, &body)
     }
 
     /// Parses an encoded snapshot. `None` on any structural or digest
@@ -331,50 +325,30 @@ impl MetricsSnapshot {
     /// is bounded by the bytes left behind it, so a hostile count cannot
     /// make the decoder loop or allocate beyond its input.
     pub fn decode(bytes: &[u8]) -> Option<MetricsSnapshot> {
-        if bytes.len() < 44 || bytes[..4] != METRICS_MAGIC {
-            return None;
-        }
-        let (framed, digest) = bytes.split_at(bytes.len() - 32);
-        let mut hasher = Sha256::new();
-        hasher.update(framed);
-        if hasher.finalize() != digest {
-            return None;
-        }
-        let mut cursor = wire::Cursor::new(&framed[4..]);
-        if cursor.take_u32()? != METRICS_VERSION {
-            return None;
-        }
-        let mut snapshot = MetricsSnapshot::default();
+        let mut cursor = Cursor::new(wire::unseal(&METRICS_MAGIC, METRICS_VERSION, bytes)?);
         // Name length prefix plus one `u64` per counter and gauge.
-        for _ in 0..cursor.take_count(4 + 8)? {
-            let name = cursor.take_str()?;
-            let value = cursor.take_u64()?;
-            snapshot.counters.insert(name, value);
-        }
-        for _ in 0..cursor.take_count(4 + 8)? {
-            let name = cursor.take_str()?;
-            let value = cursor.take_u64()? as i64;
-            snapshot.gauges.insert(name, value);
-        }
+        let named_u64 = |c: &mut Cursor<'_>| Some((c.take_str()?, c.take_u64()?));
+        let counters = cursor.take_seq(4 + 8, named_u64)?;
+        let gauges = cursor.take_seq(4 + 8, named_u64)?;
         // Name length prefix, count, sum and bucket count per histogram.
-        for _ in 0..cursor.take_count(4 + 8 + 8 + 4)? {
-            let name = cursor.take_str()?;
-            let count = cursor.take_u64()?;
-            let sum_us = cursor.take_u64()?;
-            let bucket_count = cursor.take_count(8)?;
-            let mut buckets = Vec::with_capacity(bucket_count);
-            for _ in 0..bucket_count {
-                buckets.push(cursor.take_u64()?);
-            }
-            snapshot.histograms.insert(
+        let histograms = cursor.take_seq(4 + 8 + 8 + 4, |c| {
+            let name = c.take_str()?;
+            let (count, sum_us) = (c.take_u64()?, c.take_u64()?);
+            let buckets = c.take_seq(8, Cursor::take_u64)?;
+            Some((
                 name,
                 HistogramSnapshot {
                     buckets,
                     count,
                     sum_us,
                 },
-            );
-        }
+            ))
+        })?;
+        let snapshot = MetricsSnapshot {
+            counters: counters.into_iter().collect(),
+            gauges: gauges.into_iter().map(|(n, v)| (n, v as i64)).collect(),
+            histograms: histograms.into_iter().collect(),
+        };
         cursor.finished().then_some(snapshot)
     }
 
@@ -478,24 +452,16 @@ mod tests {
         // Structural damage behind a valid digest trailer is dropped too:
         // a `u32::MAX` counter count with no counters behind it, and a
         // body cut short by one byte.
-        let with_trailer = |body: &[u8]| {
-            let mut framed = body.to_vec();
-            let mut hasher = Sha256::new();
-            hasher.update(&framed);
-            framed.extend_from_slice(&hasher.finalize());
-            framed
-        };
-        let mut huge = METRICS_MAGIC.to_vec();
-        wire::put_u32(&mut huge, METRICS_VERSION);
-        wire::put_u32(&mut huge, u32::MAX);
-        assert_eq!(MetricsSnapshot::decode(&with_trailer(&huge)), None);
-        let body = &bytes[..bytes.len() - 32];
+        let reseal = |body: &[u8]| wire::seal(&METRICS_MAGIC, METRICS_VERSION, body);
+        let huge = u32::MAX.to_le_bytes();
+        assert_eq!(MetricsSnapshot::decode(&reseal(&huge)), None);
+        let body = wire::unseal(&METRICS_MAGIC, METRICS_VERSION, &bytes).unwrap();
         assert_eq!(
-            MetricsSnapshot::decode(&with_trailer(&body[..body.len() - 1])),
+            MetricsSnapshot::decode(&reseal(&body[..body.len() - 1])),
             None
         );
         assert_eq!(
-            MetricsSnapshot::decode(&with_trailer(body)),
+            MetricsSnapshot::decode(&reseal(body)),
             Some(snap.clone()),
             "the re-framed intact body still decodes"
         );

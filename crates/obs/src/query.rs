@@ -24,8 +24,9 @@ use std::path::Path;
 use std::sync::Arc;
 
 use sp_store::run_log::{CellRecord, RunLog};
-use sp_store::snapshot::{wire, Snapshot, SnapshotSection};
+use sp_store::snapshot::{Snapshot, SnapshotSection};
 use sp_store::vfs::StoreFs;
+use sp_store::wire::{self, Cursor};
 
 /// File name of the warm index snapshot inside the run-log directory.
 pub const WARM_INDEX_FILE: &str = "index.spws";
@@ -451,7 +452,7 @@ impl RunHistory {
         }
         let meta = snapshot.section(SECTION_META)?;
         let counts = &meta.entries.iter().find(|(k, _)| k == b"counts")?.1;
-        let mut cursor = wire::Cursor::new(counts);
+        let mut cursor = Cursor::new(counts);
         let record_count = cursor.take_u64()? as usize;
         let max_seq = cursor.take_u64()?;
         let corrupt_dropped = cursor.take_u64()? as usize;
@@ -466,7 +467,8 @@ impl RunHistory {
         }
         let mut records = Vec::with_capacity(record_count);
         for (key, value) in &records_section.entries {
-            let seq = u64::from_le_bytes(key.as_slice().try_into().ok()?);
+            let mut key = Cursor::new(key);
+            let seq = key.take_u64().filter(|_| key.finished())?;
             records.push((seq, CellRecord::decode(value)?));
         }
 
@@ -485,7 +487,7 @@ impl RunHistory {
         for (key, value) in &postings_section.entries {
             let key = std::str::from_utf8(key).ok()?;
             if key == "time" {
-                let mut cursor = wire::Cursor::new(value);
+                let mut cursor = Cursor::new(value);
                 while !cursor.finished() {
                     let ts = cursor.take_u64()?;
                     let idx = cursor.take_u32()?;
@@ -525,7 +527,7 @@ fn encode_postings(list: &[u32]) -> Vec<u8> {
 }
 
 fn decode_postings(bytes: &[u8], n: u32) -> Option<Vec<u32>> {
-    let mut cursor = wire::Cursor::new(bytes);
+    let mut cursor = Cursor::new(bytes);
     let mut list = Vec::with_capacity(bytes.len() / 4);
     while !cursor.finished() {
         let idx = cursor.take_u32()?;

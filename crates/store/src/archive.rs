@@ -20,8 +20,9 @@
 //! [`ObjectId`] — which is what makes artifact
 //! deduplication across validation runs work.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 
+use crate::wire::{self, Cursor};
 use crate::{sha256, ObjectId, Result, StoreError};
 
 const MAGIC: &[u8; 4] = b"SPAR";
@@ -122,36 +123,28 @@ impl Archive {
         let mut sorted: Vec<&ArchiveEntry> = self.entries.iter().collect();
         sorted.sort_by(|a, b| a.path.cmp(&b.path));
 
-        let mut buf = BytesMut::with_capacity(64 + self.payload_bytes());
-        buf.put_slice(MAGIC);
-        buf.put_u16_le(VERSION);
-        buf.put_u32_le(sorted.len() as u32);
+        let mut buf = Vec::with_capacity(64 + self.payload_bytes());
+        buf.extend_from_slice(MAGIC);
+        wire::put_u16(&mut buf, VERSION);
+        wire::put_u32(&mut buf, sorted.len() as u32);
         for entry in sorted {
-            buf.put_u16_le(entry.path.len() as u16);
-            buf.put_slice(entry.path.as_bytes());
-            buf.put_u32_le(entry.mode);
-            buf.put_u32_le(entry.data.len() as u32);
-            buf.put_slice(&entry.data);
+            // `add` bounds every path by the `u16` prefix, so nothing clamps.
+            wire::put_str16(&mut buf, &entry.path);
+            wire::put_u32(&mut buf, entry.mode);
+            wire::put_bytes(&mut buf, &entry.data);
         }
         let mut hasher = sha256::Sha256::new();
         hasher.update(&buf);
         let digest = hasher.clone().finalize();
-        buf.put_slice(&digest);
+        buf.extend_from_slice(&digest);
         hasher.update(&digest);
-        (buf.freeze(), ObjectId(hasher.finalize()))
+        (Bytes::from(buf), ObjectId(hasher.finalize()))
     }
 
     /// Decodes a `SPAR` archive, verifying magic, version and checksum.
     pub fn unpack(data: &[u8]) -> Result<Self> {
-        let bad = |msg: &str| StoreError::BadArchive(msg.to_string());
-        if data.len() < MAGIC.len() + 2 + 4 + 32 {
-            return Err(bad("truncated header"));
-        }
-        let (body, digest) = data.split_at(data.len() - 32);
-        if sha256::digest(body) != *<&[u8; 32]>::try_from(digest).expect("32-byte slice") {
-            return Err(bad("checksum mismatch"));
-        }
-        Self::decode_verified_body(body)
+        let mut verdicts = Self::unpack_batch(&[data], &sha256::MultilaneDigester);
+        verdicts.pop().expect("one verdict per payload")
     }
 
     /// Decodes several `SPAR` archives at once, verifying all their
@@ -159,8 +152,7 @@ impl Archive {
     /// pass — the independent whole-archive re-hashes run four to a lane
     /// (or across an executor pool) instead of one after another, which
     /// is where unpack verification spends its time on conserved
-    /// tar-balls. `result[i]` corresponds to `payloads[i]` and matches
-    /// what [`unpack`](Self::unpack) would return for it.
+    /// tar-balls. `result[i]` is the verdict on `payloads[i]`.
     pub fn unpack_batch(
         payloads: &[&[u8]],
         digester: &dyn sha256::BatchDigester,
@@ -186,7 +178,7 @@ impl Archive {
                     return Err(bad("truncated header"));
                 };
                 let actual = digests.next().expect("one digest per hashed body");
-                if actual != *<&[u8; 32]>::try_from(digest).expect("32-byte slice") {
+                if actual[..] != *digest {
                     return Err(bad("checksum mismatch"));
                 }
                 Self::decode_verified_body(body)
@@ -198,41 +190,31 @@ impl Archive {
     /// verified (magic and version are still checked here).
     fn decode_verified_body(body: &[u8]) -> Result<Self> {
         let bad = |msg: &str| StoreError::BadArchive(msg.to_string());
-        let mut cur = body;
-        let mut magic = [0u8; 4];
-        cur.copy_to_slice(&mut magic);
-        if magic != *MAGIC {
+        let mut cur = Cursor::new(body);
+        if cur.take_array() != Some(*MAGIC) {
             return Err(bad("bad magic"));
         }
-        let version = cur.get_u16_le();
+        let (version, count) = cur
+            .take_u16()
+            .zip(cur.take_u32())
+            .ok_or_else(|| bad("truncated header"))?;
         if version != VERSION {
             return Err(StoreError::BadArchive(format!(
                 "unsupported version {version}"
             )));
         }
-        let count = cur.get_u32_le() as usize;
         let mut archive = Archive::new();
         for _ in 0..count {
-            if cur.remaining() < 2 {
-                return Err(bad("truncated entry header"));
-            }
-            let path_len = cur.get_u16_le() as usize;
-            if cur.remaining() < path_len + 8 {
-                return Err(bad("truncated entry"));
-            }
-            let path_bytes = cur.copy_to_bytes(path_len);
-            let path = std::str::from_utf8(&path_bytes)
-                .map_err(|_| bad("non-utf8 path"))?
-                .to_string();
-            let mode = cur.get_u32_le();
-            let data_len = cur.get_u32_le() as usize;
-            if cur.remaining() < data_len {
-                return Err(bad("truncated entry data"));
-            }
-            let data = cur.copy_to_bytes(data_len);
-            archive.add(ArchiveEntry { path, mode, data })?;
+            let mut take_entry = || {
+                let path = cur.take_str16()?;
+                let mode = cur.take_u32()?;
+                let len = cur.take_u32()? as usize;
+                let data = Bytes::copy_from_slice(cur.take(len)?);
+                Some(ArchiveEntry { path, mode, data })
+            };
+            archive.add(take_entry().ok_or_else(|| bad("truncated or non-UTF-8 entry"))?)?;
         }
-        if cur.has_remaining() {
+        if !cur.finished() {
             return Err(bad("trailing bytes after last entry"));
         }
         Ok(archive)
@@ -241,7 +223,8 @@ impl Archive {
 
 fn validate_path(path: &str) -> Result<()> {
     let reject = |p: &str| Err(StoreError::BadPath(p.to_string()));
-    if path.is_empty() || path.starts_with('/') {
+    // The wire format prefixes each path with its `u16` byte length.
+    if path.is_empty() || path.starts_with('/') || path.len() > u16::MAX as usize {
         return reject(path);
     }
     if path
@@ -348,6 +331,18 @@ mod tests {
                 "path '{bad}' accepted"
             );
         }
+        // Longer than the `u16` length prefix: packing would wrap it.
+        let long = "x".repeat(u16::MAX as usize + 1);
+        assert!(matches!(
+            a.add(ArchiveEntry::file(long, &b""[..])),
+            Err(StoreError::BadPath(_))
+        ));
+        a.add(ArchiveEntry::file(
+            "x".repeat(u16::MAX as usize),
+            &b"ok"[..],
+        ))
+        .unwrap();
+        assert_eq!(Archive::unpack(&a.pack()).unwrap(), a);
     }
 
     #[test]

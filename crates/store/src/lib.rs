@@ -8,6 +8,9 @@
 //!
 //! This crate provides that substrate:
 //!
+//! * [`wire`] — the one codec under every disk and wire format: the
+//!   bounds-checked [`wire::Cursor`] reader, the `put_*` writers, and the
+//!   SHA-256-trailed record framing [`wire::seal`]/[`wire::unseal`].
 //! * [`sha256`] — a self-contained SHA-256 implementation used for content
 //!   addressing (kept in-crate to avoid a cryptography dependency; verified
 //!   against the NIST test vectors), including a 4-lane interleaved batch
@@ -78,6 +81,7 @@ pub mod shared;
 pub mod snapshot;
 pub mod vault;
 pub mod vfs;
+pub mod wire;
 pub mod wq;
 
 pub use archive::{Archive, ArchiveEntry};

@@ -5,7 +5,8 @@
 //! replaced wholesale, with no memory of when each cell ran, who ran it,
 //! or under which lease generation. The run log is the orthogonal,
 //! history-preserving record: each validated cell outcome becomes one
-//! digest-guarded `SPRL` record streamed through the same
+//! `SPRL` record, framed by [`crate::wire::seal`] like the queue's
+//! records, streamed through the same
 //! [`StoreFs`] seam as the queue, living right next
 //! to it (by convention `<store>/runlog/`).
 //!
@@ -36,12 +37,15 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::snapshot::wire;
 use crate::vfs::StoreFs;
-use crate::wq::{decode_record, encode_record, parse_seq, pid_alive};
+use crate::wire::{self, Cursor};
+use crate::wq::{parse_seq, pid_alive};
 
 /// Record magic for one logged cell outcome.
 pub const MAGIC_RUN_CELL: [u8; 4] = *b"SPRL";
+
+/// Current wire version of `SPRL` records.
+const RUN_CELL_VERSION: u32 = 1;
 
 /// Conventional run-log directory name next to the work queue.
 pub const RUN_LOG_DIR: &str = "runlog";
@@ -132,14 +136,13 @@ impl CellRecord {
 
     /// Frames the record for disk: `SPRL` magic, version, body, SHA-256.
     pub fn encode(&self) -> Vec<u8> {
-        encode_record(&MAGIC_RUN_CELL, &self.encode_body())
+        wire::seal(&MAGIC_RUN_CELL, RUN_CELL_VERSION, &self.encode_body())
     }
 
     /// Parses a framed record. `None` on any digest, magic, version or
     /// structural mismatch — dropped, never trusted.
     pub fn decode(bytes: &[u8]) -> Option<CellRecord> {
-        let body = decode_record(&MAGIC_RUN_CELL, bytes)?;
-        let mut cursor = wire::Cursor::new(&body);
+        let mut cursor = Cursor::new(wire::unseal(&MAGIC_RUN_CELL, RUN_CELL_VERSION, bytes)?);
         let record = CellRecord {
             campaign: cursor.take_u64()?,
             experiment: cursor.take_str()?,

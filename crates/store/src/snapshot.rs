@@ -32,6 +32,7 @@
 
 use crate::run_memo::RunKey;
 use crate::sha256::{BatchDigester, MultilaneDigester, Sha256};
+use crate::wire;
 
 /// Snapshot file magic.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"SPWS";
@@ -204,7 +205,7 @@ impl Snapshot {
         digester: &dyn BatchDigester,
     ) -> Result<(Snapshot, SnapshotLoadReport), SnapshotError> {
         let mut cursor = wire::Cursor::new(bytes);
-        let magic = cursor.take(4).ok_or(SnapshotError::Truncated)?;
+        let magic: [u8; 4] = cursor.take_array().ok_or(SnapshotError::Truncated)?;
         if magic != SNAPSHOT_MAGIC {
             return Err(SnapshotError::BadMagic);
         }
@@ -212,22 +213,17 @@ impl Snapshot {
         if version != SNAPSHOT_VERSION {
             return Err(SnapshotError::UnsupportedVersion(version));
         }
-        // A parsed-but-unverified entry: key, value, claimed digest.
-        type RawEntry = (Vec<u8>, Vec<u8>, [u8; 32]);
-        let section_count = cursor.take_u32().ok_or(SnapshotError::Truncated)?;
-        let mut raw: Vec<(String, Vec<RawEntry>)> = Vec::new();
-        for _ in 0..section_count {
-            let name = cursor.take_str16().ok_or(SnapshotError::Truncated)?;
-            let entry_count = cursor.take_u32().ok_or(SnapshotError::Truncated)?;
-            let mut entries = Vec::new();
-            for _ in 0..entry_count {
-                let key = cursor.take_bytes().ok_or(SnapshotError::Truncated)?;
-                let value = cursor.take_bytes().ok_or(SnapshotError::Truncated)?;
-                let digest = cursor.take(32).ok_or(SnapshotError::Truncated)?;
-                entries.push((key, value, digest.try_into().expect("32-byte digest")));
-            }
-            raw.push((name, entries));
-        }
+        // Parsed but unverified: per section, each entry's key, value and
+        // claimed digest.
+        let raw = cursor
+            .take_seq(2 + 4, |c| {
+                let name = c.take_str16()?;
+                let entries = c.take_seq(4 + 4 + 32, |c| {
+                    Some((c.take_bytes()?, c.take_bytes()?, c.take_array::<32>()?))
+                })?;
+                Some((name, entries))
+            })
+            .ok_or(SnapshotError::Truncated)?;
         // Every byte must be accounted for: trailing bytes mean a count
         // or length field was corrupted downwards, silently shedding
         // entries with nothing counted as dropped — structural
@@ -293,113 +289,6 @@ pub fn decode_run_key(bytes: &[u8]) -> Option<RunKey> {
     cursor
         .finished()
         .then(|| RunKey::new(test, seed, env_revision, scale))
-}
-
-/// Length-prefixed little-endian wire helpers shared by the snapshot
-/// container and the value serialisers in `sp-core`.
-pub mod wire {
-    /// Appends a `u32` little-endian.
-    pub fn put_u32(out: &mut Vec<u8>, v: u32) {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a `u64` little-endian.
-    pub fn put_u64(out: &mut Vec<u8>, v: u64) {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends `u32`-length-prefixed raw bytes.
-    pub fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-        put_u32(out, bytes.len() as u32);
-        out.extend_from_slice(bytes);
-    }
-
-    /// Appends a `u32`-length-prefixed UTF-8 string.
-    pub fn put_str(out: &mut Vec<u8>, s: &str) {
-        put_bytes(out, s.as_bytes());
-    }
-
-    /// Appends a `u16`-length-prefixed UTF-8 string (section names).
-    pub fn put_str16(out: &mut Vec<u8>, s: &str) {
-        let len = s.len().min(u16::MAX as usize) as u16;
-        out.extend_from_slice(&len.to_le_bytes());
-        out.extend_from_slice(&s.as_bytes()[..len as usize]);
-    }
-
-    /// A bounds-checked reader over serialised bytes: every `take_*`
-    /// returns `None` instead of reading past the end, so corrupted
-    /// length fields surface as decode failures rather than panics.
-    pub struct Cursor<'a> {
-        data: &'a [u8],
-        pos: usize,
-    }
-
-    impl<'a> Cursor<'a> {
-        /// Opens a cursor at the start of `data`.
-        pub fn new(data: &'a [u8]) -> Self {
-            Cursor { data, pos: 0 }
-        }
-
-        /// Takes `n` raw bytes.
-        pub fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-            let end = self.pos.checked_add(n)?;
-            if end > self.data.len() {
-                return None;
-            }
-            let slice = &self.data[self.pos..end];
-            self.pos = end;
-            Some(slice)
-        }
-
-        /// Takes a little-endian `u32`.
-        pub fn take_u32(&mut self) -> Option<u32> {
-            self.take(4)
-                .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
-        }
-
-        /// Takes a little-endian `u64`.
-        pub fn take_u64(&mut self) -> Option<u64> {
-            self.take(8)
-                .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
-        }
-
-        /// Takes a `u32` element count for a sequence whose elements each
-        /// encode to at least `min_elem_bytes` (minimum 1). `None` when the
-        /// remaining bytes cannot hold that many elements, so a corrupt or
-        /// hostile count can never drive a pre-allocation larger than the
-        /// input itself.
-        pub fn take_count(&mut self, min_elem_bytes: usize) -> Option<usize> {
-            let count = self.take_u32()? as usize;
-            let needed = count.checked_mul(min_elem_bytes.max(1))?;
-            (needed <= self.data.len() - self.pos).then_some(count)
-        }
-
-        /// Takes `u32`-length-prefixed bytes.
-        pub fn take_bytes(&mut self) -> Option<Vec<u8>> {
-            let len = self.take_u32()? as usize;
-            self.take(len).map(|b| b.to_vec())
-        }
-
-        /// Takes a `u32`-length-prefixed UTF-8 string.
-        pub fn take_str(&mut self) -> Option<String> {
-            let len = self.take_u32()? as usize;
-            let bytes = self.take(len)?;
-            String::from_utf8(bytes.to_vec()).ok()
-        }
-
-        /// Takes a `u16`-length-prefixed UTF-8 string.
-        pub fn take_str16(&mut self) -> Option<String> {
-            let len = self.take(2)?;
-            let len = u16::from_le_bytes(len.try_into().unwrap()) as usize;
-            let bytes = self.take(len)?;
-            String::from_utf8(bytes.to_vec()).ok()
-        }
-
-        /// Whether every byte has been consumed.
-        pub fn finished(&self) -> bool {
-            self.pos == self.data.len()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -514,18 +403,5 @@ mod tests {
         assert_eq!(decode_run_key(&bytes), Some(key));
         assert_eq!(decode_run_key(b"garbage"), None);
         assert_eq!(decode_run_key(&bytes[..bytes.len() - 1]), None);
-    }
-
-    #[test]
-    fn take_count_is_bounded_by_the_remaining_bytes() {
-        let mut bytes = Vec::new();
-        wire::put_u32(&mut bytes, 3);
-        bytes.extend_from_slice(&[0; 12]);
-        assert_eq!(wire::Cursor::new(&bytes).take_count(4), Some(3));
-        assert_eq!(wire::Cursor::new(&bytes).take_count(5), None);
-        assert_eq!(wire::Cursor::new(&bytes).take_count(0), Some(3));
-        let huge = u32::MAX.to_le_bytes();
-        assert_eq!(wire::Cursor::new(&huge).take_count(1), None);
-        assert_eq!(wire::Cursor::new(b"ab").take_count(1), None);
     }
 }

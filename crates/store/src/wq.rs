@@ -83,8 +83,9 @@
 //!
 //! ## Trust rules
 //!
-//! Same posture as the `SPWS` snapshots: every record on disk carries a
-//! SHA-256 digest over its bytes, and a record that fails validation —
+//! Same posture as the `SPWS` snapshots: every record on disk is framed
+//! by [`crate::wire::seal`] — magic, version, body, SHA-256 over all of
+//! it — and a record that fails validation —
 //! truncated, bit-flipped, wrong magic — is **dropped, never trusted**. A
 //! corrupt submission is never leased; a corrupt report reads as absent
 //! (the work is re-leased and re-executed); a corrupt lease is treated as
@@ -102,8 +103,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::retention::TimeSource;
-use crate::sha256::Sha256;
 use crate::vfs::{OsFs, StoreFs};
+use crate::wire::{self, Cursor};
 
 /// Record magic for submissions.
 const MAGIC_SUBMISSION: [u8; 4] = *b"SPWQ";
@@ -543,12 +544,12 @@ impl WorkQueue {
         let mut seq = self.max_submission_seq().map(|s| s + 1).unwrap_or(1);
         loop {
             let mut body = Vec::with_capacity(payload.len() + 64);
-            wire_put_u64(&mut body, seq);
-            wire_put_u64(&mut body, base_run_id);
-            wire_put_u64(&mut body, total_runs);
-            wire_put_u64(&mut body, origin);
-            wire_put_bytes(&mut body, payload);
-            let record = encode_record(&MAGIC_SUBMISSION, &body);
+            wire::put_u64(&mut body, seq);
+            wire::put_u64(&mut body, base_run_id);
+            wire::put_u64(&mut body, total_runs);
+            wire::put_u64(&mut body, origin);
+            wire::put_bytes(&mut body, payload);
+            let record = wire::seal(&MAGIC_SUBMISSION, WQ_VERSION, &body);
             match self.create_exclusive(&self.submission_path(seq), &record) {
                 Ok(()) => return Ok(seq),
                 Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
@@ -646,29 +647,11 @@ impl WorkQueue {
     }
 
     fn read_lease(&self, seq: u64, token: u64) -> Option<LeaseRecord> {
-        let bytes = self.fs.read(&self.lease_path(seq, token)).ok()?;
-        let body = decode_record(&MAGIC_LEASE, &bytes)?;
-        let mut cursor = crate::snapshot::wire::Cursor::new(&body);
-        let record = LeaseRecord {
-            seq: cursor.take_u64()?,
-            token: cursor.take_u64()?,
-            holder: cursor.take_str()?,
-            acquired_at: cursor.take_u64()?,
-            expires_at: cursor.take_u64()?,
-            released: cursor.take(1)?[0] != 0,
-        };
-        (cursor.finished() && record.seq == seq && record.token == token).then_some(record)
-    }
-
-    fn encode_lease(&self, record: &LeaseRecord) -> Vec<u8> {
-        let mut body = Vec::with_capacity(record.holder.len() + 64);
-        wire_put_u64(&mut body, record.seq);
-        wire_put_u64(&mut body, record.token);
-        wire_put_str(&mut body, &record.holder);
-        wire_put_u64(&mut body, record.acquired_at);
-        wire_put_u64(&mut body, record.expires_at);
-        body.push(record.released as u8);
-        encode_record(&MAGIC_LEASE, &body)
+        decode_lease(
+            seq,
+            token,
+            &self.fs.read(&self.lease_path(seq, token)).ok()?,
+        )
     }
 
     /// Whether a lease record is live (held, unreleased, unexpired) at
@@ -747,7 +730,7 @@ impl WorkQueue {
         };
         match self.create_exclusive_opts(
             &self.lease_path(seq, token),
-            &self.encode_lease(&record),
+            &encode_lease(&record),
             sync_parent,
         ) {
             Ok(()) => {
@@ -762,7 +745,7 @@ impl WorkQueue {
                 if self.report(seq).is_some() {
                     let mut record = record;
                     record.released = true;
-                    self.write_atomic(&self.lease_path(seq, token), &self.encode_lease(&record))?;
+                    self.write_atomic(&self.lease_path(seq, token), &encode_lease(&record))?;
                     return Ok(None);
                 }
                 Ok(Some(Lease {
@@ -829,7 +812,7 @@ impl WorkQueue {
         record.expires_at = self.now() + self.lease_secs;
         self.write_atomic(
             &self.lease_path(lease.seq, lease.token),
-            &self.encode_lease(&record),
+            &encode_lease(&record),
         )?;
         lease.expires_at = record.expires_at;
         Ok(record.expires_at)
@@ -847,11 +830,7 @@ impl WorkQueue {
     /// live generation — a stalled worker cannot commit stale results.
     pub fn publish_report(&self, lease: &Lease, payload: &[u8]) -> Result<(), WqError> {
         self.verify_held(lease)?;
-        let mut body = Vec::with_capacity(payload.len() + 32);
-        wire_put_u64(&mut body, lease.seq);
-        wire_put_u64(&mut body, lease.token);
-        wire_put_bytes(&mut body, payload);
-        let record = encode_record(&MAGIC_REPORT, &body);
+        let record = encode_report(lease.seq, lease.token, payload);
         self.write_atomic(&self.report_path(lease.seq, lease.token), &record)?;
         Ok(())
     }
@@ -864,7 +843,7 @@ impl WorkQueue {
         record.released = true;
         self.write_atomic(
             &self.lease_path(lease.seq, lease.token),
-            &self.encode_lease(&record),
+            &encode_lease(&record),
         )?;
         Ok(())
     }
@@ -955,20 +934,16 @@ impl WorkQueue {
         for (index, (lease, payload)) in items.iter().enumerate() {
             match self.verify_held(lease) {
                 Ok(mut record) => {
-                    let mut body = Vec::with_capacity(payload.len() + 32);
-                    wire_put_u64(&mut body, lease.seq);
-                    wire_put_u64(&mut body, lease.token);
-                    wire_put_bytes(&mut body, payload);
                     reports.push((
                         self.stage_path(),
                         self.report_path(lease.seq, lease.token),
-                        encode_record(&MAGIC_REPORT, &body),
+                        encode_report(lease.seq, lease.token, payload),
                     ));
                     record.released = true;
                     releases.push((
                         self.stage_path(),
                         self.lease_path(lease.seq, lease.token),
-                        self.encode_lease(&record),
+                        encode_lease(&record),
                     ));
                     verified.push(index);
                     out.push(Ok(()));
@@ -1059,10 +1034,10 @@ impl WorkQueue {
     /// should release the lease instead so another worker can retry.
     pub fn mark_poisoned(&self, seq: u64, holder: &str, reason: &str) -> std::io::Result<bool> {
         let mut body = Vec::with_capacity(holder.len() + reason.len() + 24);
-        wire_put_u64(&mut body, seq);
-        wire_put_str(&mut body, holder);
-        wire_put_str(&mut body, reason);
-        let record = encode_record(&MAGIC_POISON, &body);
+        wire::put_u64(&mut body, seq);
+        wire::put_str(&mut body, holder);
+        wire::put_str(&mut body, reason);
+        let record = wire::seal(&MAGIC_POISON, WQ_VERSION, &body);
         match self.create_exclusive(&self.poison_path(seq), &record) {
             Ok(()) => Ok(true),
             Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => Ok(false),
@@ -1103,9 +1078,9 @@ impl WorkQueue {
     /// digest without shared memory.
     pub fn publish_worker_stats(&self, holder: &str, payload: &[u8]) -> std::io::Result<()> {
         let mut body = Vec::with_capacity(payload.len() + holder.len() + 16);
-        wire_put_str(&mut body, holder);
-        wire_put_bytes(&mut body, payload);
-        let record = encode_record(&MAGIC_WORKER, &body);
+        wire::put_str(&mut body, holder);
+        wire::put_bytes(&mut body, payload);
+        let record = wire::seal(&MAGIC_WORKER, WQ_VERSION, &body);
         self.write_atomic(&self.root.join(format!("workers/{holder}.stats")), &record)
     }
 
@@ -1116,11 +1091,7 @@ impl WorkQueue {
             .into_iter()
             .filter_map(|name| {
                 let bytes = self.fs.read(&self.root.join("workers").join(&name)).ok()?;
-                let body = decode_record(&MAGIC_WORKER, &bytes)?;
-                let mut cursor = crate::snapshot::wire::Cursor::new(&body);
-                let holder = cursor.take_str()?;
-                let payload = cursor.take_bytes()?;
-                cursor.finished().then_some((holder, payload))
+                decode_worker_stats(&bytes)
             })
             .collect();
         out.sort_by(|a, b| a.0.cmp(&b.0));
@@ -1186,10 +1157,50 @@ pub(crate) fn pid_alive(pid: u32) -> bool {
     }
 }
 
-/// Decodes (digest-validating) one submission record's bytes.
+fn encode_lease(record: &LeaseRecord) -> Vec<u8> {
+    let mut body = Vec::with_capacity(record.holder.len() + 64);
+    wire::put_u64(&mut body, record.seq);
+    wire::put_u64(&mut body, record.token);
+    wire::put_str(&mut body, &record.holder);
+    wire::put_u64(&mut body, record.acquired_at);
+    wire::put_u64(&mut body, record.expires_at);
+    body.push(record.released as u8);
+    wire::seal(&MAGIC_LEASE, WQ_VERSION, &body)
+}
+
+/// Decodes a lease record, which must name the `seq` and `token` its
+/// file name claims.
+fn decode_lease(seq: u64, token: u64, bytes: &[u8]) -> Option<LeaseRecord> {
+    let mut cursor = Cursor::new(wire::unseal(&MAGIC_LEASE, WQ_VERSION, bytes)?);
+    let record = LeaseRecord {
+        seq: cursor.take_u64()?,
+        token: cursor.take_u64()?,
+        holder: cursor.take_str()?,
+        acquired_at: cursor.take_u64()?,
+        expires_at: cursor.take_u64()?,
+        released: cursor.take_u8()? != 0,
+    };
+    (cursor.finished() && record.seq == seq && record.token == token).then_some(record)
+}
+
+fn decode_worker_stats(bytes: &[u8]) -> Option<(String, Vec<u8>)> {
+    let mut cursor = Cursor::new(wire::unseal(&MAGIC_WORKER, WQ_VERSION, bytes)?);
+    let holder = cursor.take_str()?;
+    let payload = cursor.take_bytes()?;
+    cursor.finished().then_some((holder, payload))
+}
+
+fn encode_report(seq: u64, token: u64, payload: &[u8]) -> Vec<u8> {
+    let mut body = Vec::with_capacity(payload.len() + 32);
+    wire::put_u64(&mut body, seq);
+    wire::put_u64(&mut body, token);
+    wire::put_bytes(&mut body, payload);
+    wire::seal(&MAGIC_REPORT, WQ_VERSION, &body)
+}
+
+/// Decodes (digest-validating) one report record's bytes.
 fn decode_report_bytes(seq: u64, token: u64, bytes: &[u8]) -> Option<Vec<u8>> {
-    let body = decode_record(&MAGIC_REPORT, bytes)?;
-    let mut cursor = crate::snapshot::wire::Cursor::new(&body);
+    let mut cursor = Cursor::new(wire::unseal(&MAGIC_REPORT, WQ_VERSION, bytes)?);
     let recorded_seq = cursor.take_u64()?;
     let recorded_token = cursor.take_u64()?;
     let payload = cursor.take_bytes()?;
@@ -1197,8 +1208,7 @@ fn decode_report_bytes(seq: u64, token: u64, bytes: &[u8]) -> Option<Vec<u8>> {
 }
 
 fn decode_poison_bytes(seq: u64, bytes: &[u8]) -> Option<PoisonMark> {
-    let body = decode_record(&MAGIC_POISON, bytes)?;
-    let mut cursor = crate::snapshot::wire::Cursor::new(&body);
+    let mut cursor = Cursor::new(wire::unseal(&MAGIC_POISON, WQ_VERSION, bytes)?);
     let recorded_seq = cursor.take_u64()?;
     let holder = cursor.take_str()?;
     let reason = cursor.take_str()?;
@@ -1210,8 +1220,7 @@ fn decode_poison_bytes(seq: u64, bytes: &[u8]) -> Option<PoisonMark> {
 }
 
 fn decode_submission(seq: u64, bytes: &[u8]) -> Option<QueueSubmission> {
-    let body = decode_record(&MAGIC_SUBMISSION, bytes)?;
-    let mut cursor = crate::snapshot::wire::Cursor::new(&body);
+    let mut cursor = Cursor::new(wire::unseal(&MAGIC_SUBMISSION, WQ_VERSION, bytes)?);
     let recorded_seq = cursor.take_u64()?;
     let base_run_id = cursor.take_u64()?;
     let total_runs = cursor.take_u64()?;
@@ -1239,50 +1248,6 @@ pub(crate) fn parse_seq(name: &str, prefix: &str, suffix: &str) -> Option<u64> {
         .strip_suffix(suffix)?
         .parse()
         .ok()
-}
-
-/// Frames a record: magic, version, body, SHA-256 over all of it.
-pub(crate) fn encode_record(magic: &[u8; 4], body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(body.len() + 40);
-    out.extend_from_slice(magic);
-    out.extend_from_slice(&WQ_VERSION.to_le_bytes());
-    out.extend_from_slice(body);
-    let mut hasher = Sha256::new();
-    hasher.update(&out);
-    let digest = hasher.finalize();
-    out.extend_from_slice(&digest);
-    out
-}
-
-/// Unframes a record: validates magic, version and digest, returning the
-/// body. `None` on any mismatch — the record is dropped, never trusted.
-pub(crate) fn decode_record(magic: &[u8; 4], bytes: &[u8]) -> Option<Vec<u8>> {
-    if bytes.len() < 40 || &bytes[..4] != magic {
-        return None;
-    }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    if version != WQ_VERSION {
-        return None;
-    }
-    let (framed, digest) = bytes.split_at(bytes.len() - 32);
-    let mut hasher = Sha256::new();
-    hasher.update(framed);
-    if hasher.finalize() != digest {
-        return None;
-    }
-    Some(framed[8..].to_vec())
-}
-
-fn wire_put_u64(out: &mut Vec<u8>, v: u64) {
-    crate::snapshot::wire::put_u64(out, v);
-}
-
-fn wire_put_str(out: &mut Vec<u8>, s: &str) {
-    crate::snapshot::wire::put_str(out, s);
-}
-
-fn wire_put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    crate::snapshot::wire::put_bytes(out, b);
 }
 
 #[cfg(test)]
@@ -1398,13 +1363,9 @@ mod tests {
         let live = q.lease_next("w2").unwrap().unwrap();
         // Force-write a report file under the zombie's token, bypassing
         // the protocol (simulating a stale commit that raced through).
-        let mut body = Vec::new();
-        wire_put_u64(&mut body, seq);
-        wire_put_u64(&mut body, zombie.token);
-        wire_put_bytes(&mut body, b"stale");
         std::fs::write(
             q.report_path(seq, zombie.token),
-            encode_record(&MAGIC_REPORT, &body),
+            encode_report(seq, zombie.token, b"stale"),
         )
         .unwrap();
         // Fencing at read time: the zombie report is not the current
@@ -1482,22 +1443,60 @@ mod tests {
 
     #[test]
     fn record_framing_rejects_tampering() {
-        let record = encode_record(&MAGIC_SUBMISSION, b"body-bytes");
-        assert_eq!(
-            decode_record(&MAGIC_SUBMISSION, &record).unwrap(),
-            b"body-bytes"
-        );
-        // Wrong magic, truncation, bit flips: all dropped.
-        assert!(decode_record(&MAGIC_LEASE, &record).is_none());
-        assert!(decode_record(&MAGIC_SUBMISSION, &record[..record.len() - 1]).is_none());
-        for i in 0..record.len() {
-            let mut flipped = record.clone();
-            flipped[i] ^= 0x01;
-            assert!(
-                decode_record(&MAGIC_SUBMISSION, &flipped).is_none(),
-                "flip at {i} must invalidate"
-            );
+        // Every record kind, its body damaged behind an intact seal so the
+        // structural decoder sees the damage: bit flips and noise never
+        // panic, and a cut body never decodes.
+        let (q, _clock, dir) = queue(60);
+        let seq = q.submit(b"work", 1, 1, 0).unwrap();
+        let lease = q.lease_next("w1").unwrap().unwrap();
+        let token = lease.token;
+        q.publish_report(&lease, b"result").unwrap();
+        q.mark_poisoned(seq, "w1", "undecodable").unwrap();
+        q.publish_worker_stats("w1", b"blob").unwrap();
+        type Decodes<'a> = &'a dyn Fn(&[u8]) -> bool;
+        let kinds: [(&[u8; 4], PathBuf, Decodes); 5] = [
+            (&MAGIC_SUBMISSION, q.submission_path(seq), &|b| {
+                decode_submission(seq, b).is_some()
+            }),
+            (&MAGIC_LEASE, q.lease_path(seq, token), &|b| {
+                decode_lease(seq, token, b).is_some()
+            }),
+            (&MAGIC_REPORT, q.report_path(seq, token), &|b| {
+                decode_report_bytes(seq, token, b).is_some()
+            }),
+            (&MAGIC_POISON, q.poison_path(seq), &|b| {
+                decode_poison_bytes(seq, b).is_some()
+            }),
+            (&MAGIC_WORKER, dir.join("workers/w1.stats"), &|b| {
+                decode_worker_stats(b).is_some()
+            }),
+        ];
+        for (magic, path, decodes) in kinds {
+            let record = std::fs::read(path).unwrap();
+            assert!(decodes(&record));
+            let body = wire::unseal(magic, WQ_VERSION, &record).unwrap();
+            for cut in 0..body.len() {
+                assert!(!decodes(&wire::seal(magic, WQ_VERSION, &body[..cut])));
+            }
+            for damaged in flips_and_noise(body) {
+                decodes(&wire::seal(magic, WQ_VERSION, &damaged));
+            }
         }
-        assert!(decode_record(&MAGIC_SUBMISSION, b"").is_none());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every single-bit flip of `valid`, then noise of growing length.
+    fn flips_and_noise(valid: &[u8]) -> impl Iterator<Item = Vec<u8>> + '_ {
+        let flips = (0..valid.len() * 8).map(|bit| {
+            let mut flipped = valid.to_vec();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            flipped
+        });
+        let noise = (0..256u64).map(|len| {
+            (0..len)
+                .map(|i| ((len * 0x9e37_79b9) ^ (i * 0x85eb_ca6b)).to_le_bytes()[2])
+                .collect()
+        });
+        flips.chain(noise)
     }
 }
