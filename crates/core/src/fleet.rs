@@ -202,9 +202,12 @@ impl<'a> Coordinator<'a> {
 
     /// Whether every submission of this coordinator has a trusted report.
     pub fn drained(&self) -> bool {
-        self.submitted
-            .iter()
-            .all(|s| self.queue.report(s.seq).is_some())
+        let seqs = self.seqs();
+        self.queue.completed_among(&seqs).len() == seqs.len()
+    }
+
+    fn seqs(&self) -> Vec<u64> {
+        self.submitted.iter().map(|s| s.seq).collect()
     }
 
     /// Blocks (sleeping with jittered backoff) until the backlog is
@@ -226,12 +229,12 @@ impl<'a> Coordinator<'a> {
     /// Collects the published reports, in submission order. `None` slots
     /// are campaigns whose report has not (or not trustably) appeared.
     pub fn collect(&self) -> Vec<Option<CampaignReport>> {
-        self.submitted
-            .iter()
+        self.queue
+            .reports_among(&self.seqs())
+            .into_iter()
             .enumerate()
-            .map(|(index, submission)| {
-                let payload = self.queue.report(submission.seq)?;
-                decode_campaign_report(&payload, CampaignTicket::from_index(index))
+            .map(|(index, payload)| {
+                decode_campaign_report(&payload?, CampaignTicket::from_index(index))
             })
             .collect()
     }
@@ -520,7 +523,9 @@ pub struct Worker<'a> {
     poisoned: std::cell::RefCell<std::collections::BTreeSet<u64>>,
     /// Submissions this worker has seen a trusted report for. A trusted
     /// report is permanent, so caching saves re-reading reports (and the
-    /// submission payloads behind them) on every idle poll.
+    /// submission payloads behind them) on every poll: each old report is
+    /// read and digest-checked once per worker (see
+    /// [`refresh_completed`](Self::refresh_completed)).
     completed: std::cell::RefCell<std::collections::BTreeSet<u64>>,
     /// Submissions whose record failed its digest. Queue records are
     /// write-once (created exclusively), so corruption is permanent too.
@@ -605,14 +610,13 @@ impl<'a> Worker<'a> {
         let Ok(seqs) = self.queue.submission_seqs_checked() else {
             return false;
         };
+        self.refresh_completed(&seqs);
         let mut complete = true;
         for seq in seqs {
-            if self.completed.borrow().contains(&seq) || self.invalid.borrow().contains(&seq) {
+            if self.known_terminal(seq) {
                 continue;
             }
-            if self.queue.report(seq).is_some() {
-                self.completed.borrow_mut().insert(seq);
-            } else if self.queue.is_poisoned(seq) {
+            if self.queue.is_poisoned(seq) {
                 self.invalid.borrow_mut().insert(seq);
             } else {
                 // Only a *successful* read proving the record absent or
@@ -627,6 +631,27 @@ impl<'a> Worker<'a> {
             }
         }
         complete
+    }
+
+    /// Whether a cache already holds `seq` as completed or invalid.
+    fn known_terminal(&self, seq: u64) -> bool {
+        self.completed.borrow().contains(&seq) || self.invalid.borrow().contains(&seq)
+    }
+
+    /// Adds to the `completed` cache every member of `seqs` it does not
+    /// know yet that has a trusted report, checked against one `leases/`
+    /// listing. The claim filter and the exit check both read the cache,
+    /// so each old report is read once per worker rather than once per
+    /// check, and a poll over a long history lists `leases/` at most once
+    /// here (not at all once every submission is known).
+    fn refresh_completed(&self, seqs: &[u64]) {
+        let unknown: Vec<u64> = seqs
+            .iter()
+            .copied()
+            .filter(|&seq| !self.known_terminal(seq))
+            .collect();
+        let done = self.queue.completed_among(&unknown);
+        self.completed.borrow_mut().extend(done);
     }
 
     /// Overrides how many consecutive empty polls the drain loop tolerates
@@ -797,8 +822,13 @@ impl<'a> Worker<'a> {
             }
         };
 
-        // Phase 1 — claim. One scan, up to `lease_batch` exclusive-create
-        // lease claims, one leases-directory sync for the whole batch.
+        // Phase 1 — claim. Refresh the completed cache (a failed listing
+        // skips it; the claim scan below lists again under retry), then
+        // one scan, up to `lease_batch` exclusive-create lease claims,
+        // one leases-directory sync for the whole batch.
+        if let Ok(seqs) = self.queue.submission_seqs_checked() {
+            self.refresh_completed(&seqs);
+        }
         let skip: std::collections::BTreeSet<u64> = {
             let poisoned = self.poisoned.borrow();
             let completed = self.completed.borrow();
@@ -1018,65 +1048,41 @@ impl<'a> Worker<'a> {
             for ((item, lease), verdict) in
                 pending.into_iter().zip(batch_leases.iter()).zip(verdicts)
             {
-                match verdict {
-                    Ok(()) => {}
-                    Err(WqError::Io(_)) => {
-                        // The batched flush failed on I/O: fall back to
-                        // the per-report durable publish under the
-                        // bounded retry policy (byte-identical bytes, so
-                        // a torn batch attempt is harmless).
-                        match self.retry_wq(|| self.queue.publish_report(lease, &item.payload)) {
-                            Ok(()) => match self.retry_wq(|| self.queue.release(lease)) {
-                                Ok(())
-                                | Err(WqError::StaleLease { .. })
-                                | Err(WqError::Expired { .. })
-                                | Err(WqError::AlreadyReleased { .. }) => {}
-                                Err(error) => {
-                                    record_error(error.into(), &mut first_error);
-                                }
-                            },
-                            Err(
-                                error @ (WqError::StaleLease { .. }
-                                | WqError::Expired { .. }
-                                | WqError::AlreadyReleased { .. }),
-                            ) => {
-                                self.roll_back_fenced(&item.submission, item.checkpoint);
-                                counters.counter(FAILURES).incr();
-                                record_error(error.into(), &mut first_error);
-                                continue;
-                            }
-                            Err(error) => {
-                                self.roll_back_fenced(&item.submission, item.checkpoint);
-                                counters.counter(FAILURES).incr();
-                                let _ = self.queue.release(lease);
-                                record_error(error.into(), &mut first_error);
-                                continue;
-                            }
+                let mut published = verdict;
+                if matches!(published, Err(WqError::Io(_))) {
+                    // The batched flush failed on I/O: fall back to the
+                    // per-report durable publish under the bounded retry
+                    // policy (byte-identical bytes, so a torn batch
+                    // attempt is harmless).
+                    published = self.retry_wq(|| self.queue.publish_report(lease, &item.payload));
+                    if published.is_ok() {
+                        match self.retry_wq(|| self.queue.release(lease)) {
+                            Ok(())
+                            | Err(WqError::StaleLease { .. })
+                            | Err(WqError::Expired { .. })
+                            | Err(WqError::AlreadyReleased { .. }) => {}
+                            Err(error) => record_error(error.into(), &mut first_error),
                         }
                     }
-                    Err(
-                        error @ (WqError::StaleLease { .. }
-                        | WqError::Expired { .. }
-                        | WqError::AlreadyReleased { .. }),
-                    ) => {
-                        // Genuine fence: the lease lapsed between the
-                        // last renewal and the flush, and the fencing
-                        // token kept the commit from landing.
-                        self.roll_back_fenced(&item.submission, item.checkpoint);
-                        counters.counter(FAILURES).incr();
-                        record_error(error.into(), &mut first_error);
-                        continue;
-                    }
-                    Err(error) => {
-                        // `NotHeld` can be a *misread* of a live lease
-                        // record on a faulty disk, not only a genuine
-                        // supersession: hand the lease back best-effort
-                        // (release is verify-guarded, so a truly fenced
-                        // lease shrugs it off) so the work re-leases now
-                        // instead of after a full expiry.
-                        self.roll_back_fenced(&item.submission, item.checkpoint);
-                        counters.counter(FAILURES).incr();
+                }
+                if let Err(error) = published {
+                    // A failed publish may still have landed: the batch
+                    // (or a per-report retry) can fail at its directory
+                    // sync after the report was renamed into place. A
+                    // trusted, byte-equal report under this lease is a
+                    // drained campaign; anything else is rolled back —
+                    // a genuine fence (the lease lapsed and the token kept
+                    // the commit out) or a faulty disk, whose lease is
+                    // handed back as for a lost sibling.
+                    let landed = self
+                        .retry_io(|| self.queue.report_landed(lease, &item.payload))
+                        .unwrap_or(false);
+                    if landed {
                         let _ = self.queue.release(lease);
+                    } else {
+                        self.roll_back_fenced(&item.submission, item.checkpoint);
+                        counters.counter(FAILURES).incr();
+                        hand_back_lost(lease, &error);
                         record_error(error.into(), &mut first_error);
                         continue;
                     }

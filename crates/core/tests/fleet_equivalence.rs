@@ -15,8 +15,9 @@
 //! (the `repro-fleet` binary exercises the real `fork`/`exec` shape).
 
 use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use proptest::prelude::*;
@@ -29,7 +30,7 @@ use sp_core::{
 use sp_env::{catalog, Arch, CodeTrait, Version, VmImageId};
 use sp_exec::ChainDef;
 use sp_obs::{MetricsRegistry, MetricsSnapshot};
-use sp_store::{TimeSource, WorkQueue, WqError};
+use sp_store::{OsFs, StoreFs, SystemTimeSource, TimeSource, WorkQueue, WqError};
 
 /// A compact experiment (same construction as the campaign-equivalence
 /// suite): compile + unit + standalone + a tiny MC chain, optionally with
@@ -804,4 +805,147 @@ fn flaky_disk_degrades_to_retries_not_poison() {
         "transient faults must never quarantine valid records"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The real filesystem behind a probe: counts reads per path, and fails
+/// every sync of the directory `failing_sync` with `EIO` — a disk whose
+/// directory sync faults after the renames it should commit have landed.
+#[derive(Default)]
+struct Probe {
+    reads: Mutex<BTreeMap<PathBuf, usize>>,
+    failing_sync: Option<PathBuf>,
+}
+
+impl StoreFs for Probe {
+    fn read(&self, path: &Path) -> std::io::Result<Vec<u8>> {
+        *self
+            .reads
+            .lock()
+            .expect("probe lock")
+            .entry(path.to_path_buf())
+            .or_default() += 1;
+        OsFs.read(path)
+    }
+    fn write(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+        OsFs.write(path, bytes)
+    }
+    fn sync_file(&self, path: &Path) -> std::io::Result<()> {
+        OsFs.sync_file(path)
+    }
+    fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+        OsFs.rename(from, to)
+    }
+    fn hard_link(&self, src: &Path, dst: &Path) -> std::io::Result<()> {
+        OsFs.hard_link(src, dst)
+    }
+    fn remove_file(&self, path: &Path) -> std::io::Result<()> {
+        OsFs.remove_file(path)
+    }
+    fn create_dir_all(&self, path: &Path) -> std::io::Result<()> {
+        OsFs.create_dir_all(path)
+    }
+    fn sync_dir(&self, dir: &Path) -> std::io::Result<()> {
+        if self.failing_sync.as_deref() == Some(dir) {
+            return Err(std::io::Error::from_raw_os_error(5));
+        }
+        OsFs.sync_dir(dir)
+    }
+    fn read_dir_names(&self, dir: &Path) -> std::io::Result<Vec<String>> {
+        OsFs.read_dir_names(dir)
+    }
+    fn exists(&self, path: &Path) -> bool {
+        OsFs.exists(path)
+    }
+}
+
+/// A batched publish whose `reports/` sync faults after the reports were
+/// renamed into place, and whose per-report fallback faults the same
+/// way, still leaves every report on disk and trusted: the worker reads
+/// them back and counts each campaign as drained — no rollback, no
+/// failure — so the merged counters agree with the collected reports.
+#[test]
+fn publish_whose_directory_sync_faults_after_landing_counts_as_drained() {
+    let dir = temp_queue_dir("sync-fault");
+    let queue = WorkQueue::open(&dir, 3_600).expect("queue dir");
+    let (coordinator_system, images) = fresh_system();
+    let mut coordinator = Coordinator::new(&coordinator_system, &queue);
+    for (experiment, images) in [("alpha", images.clone()), ("gamma", vec![images[1]])] {
+        coordinator
+            .submit(config_for(vec![experiment.into()], images, 1, false))
+            .expect("submit");
+    }
+    let probe = Arc::new(Probe {
+        failing_sync: Some(dir.join("reports")),
+        ..Probe::default()
+    });
+    let worker_queue = WorkQueue::open_with(&dir, 3_600, Arc::new(SystemTimeSource), probe.clone())
+        .expect("worker queue");
+    let (worker_system, _) = fresh_system();
+    let stats = Worker::new(&worker_system, &worker_queue, "w-sync", 2)
+        .with_patience(3)
+        .drain();
+
+    let reports = coordinator.collect();
+    assert!(reports.iter().all(Option::is_some), "every report landed");
+    let runs: usize = reports
+        .iter()
+        .flatten()
+        .map(|r| r.summary.total_runs())
+        .sum();
+    assert_eq!(stats.counter(fleet::CAMPAIGNS_DRAINED), 2);
+    assert_eq!(stats.counter(fleet::RUNS_EXECUTED), runs as u64);
+    assert_eq!(stats.counter(fleet::FAILURES), 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A night's fresh worker over a long queue history checks each earlier
+/// night's report once: its claim filter and its exit check share one
+/// trust check per old report, so the reads a night makes grow with the
+/// history linearly, not quadratically.
+#[test]
+fn fresh_worker_reads_each_completed_report_at_most_once() {
+    for completed in [8, 64] {
+        let dir = temp_queue_dir("history");
+        let queue = WorkQueue::open(&dir, 3_600).expect("queue dir");
+        for _ in 0..completed {
+            let seq = queue.submit(b"an earlier night", 1, 1, 0).expect("submit");
+            let lease = queue
+                .try_lease(seq, "yesterday")
+                .expect("lease")
+                .expect("claimable");
+            queue.publish_report(&lease, b"report").expect("publish");
+            queue.release(&lease).expect("release");
+        }
+        let (coordinator_system, images) = fresh_system();
+        let mut coordinator = Coordinator::new(&coordinator_system, &queue);
+        coordinator
+            .submit(config_for(vec!["alpha".into()], vec![images[0]], 1, false))
+            .expect("submit tonight's campaign");
+
+        let probe = Arc::new(Probe::default());
+        let worker_queue =
+            WorkQueue::open_with(&dir, 3_600, Arc::new(SystemTimeSource), probe.clone())
+                .expect("worker queue");
+        // Opening sweeps every record once; count the drain alone.
+        probe.reads.lock().expect("probe lock").clear();
+        let (worker_system, _) = fresh_system();
+        let stats = Worker::new(&worker_system, &worker_queue, "tonight", 2)
+            .with_patience(3)
+            .drain();
+        assert_eq!(stats.counter(fleet::CAMPAIGNS_DRAINED), 1);
+
+        let reads = probe.reads.lock().expect("probe lock");
+        let report_reads: Vec<usize> = reads
+            .iter()
+            .filter(|(path, _)| path.starts_with(dir.join("reports")))
+            .map(|(_, &count)| count)
+            .collect();
+        assert!(report_reads.len() >= completed, "each old report checked");
+        assert!(
+            report_reads.iter().all(|&count| count == 1),
+            "{completed} completed: report reads {report_reads:?}"
+        );
+        drop(reads);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

@@ -32,15 +32,18 @@ impl Histogram1D {
     /// Creates a histogram with `nbins` equal bins on `[lo, hi)`.
     ///
     /// # Panics
-    /// If `nbins == 0` or `lo >= hi` or either bound is non-finite.
+    /// If `nbins == 0` or `lo >= hi` or either bound is non-finite, or if
+    /// the name is longer than `u16::MAX` bytes (the longest name the
+    /// `hist_io` format can store and read back).
     pub fn new(name: impl Into<String>, nbins: usize, lo: f64, hi: f64) -> Self {
+        let name = storable_name(name.into());
         assert!(nbins > 0, "histogram needs at least one bin");
         assert!(
             lo.is_finite() && hi.is_finite() && lo < hi,
             "bad range [{lo}, {hi})"
         );
         Histogram1D {
-            name: name.into(),
+            name,
             lo,
             hi,
             counts: vec![0.0; nbins],
@@ -113,6 +116,10 @@ impl Histogram1D {
     /// Reconstructs a histogram from serialised parts (see `hist_io`).
     /// Not intended for general use: the caller is responsible for the
     /// internal consistency of the moment sums.
+    ///
+    /// # Panics
+    /// If `counts` or `sumw2` does not hold `nbins` values, or the name is
+    /// longer than `u16::MAX` bytes.
     #[allow(clippy::too_many_arguments)]
     pub fn from_parts(
         name: String,
@@ -131,7 +138,7 @@ impl Histogram1D {
         assert_eq!(counts.len(), nbins, "counts length must equal nbins");
         assert_eq!(sumw2.len(), nbins, "sumw2 length must equal nbins");
         Histogram1D {
-            name,
+            name: storable_name(name),
             lo,
             hi,
             counts,
@@ -364,6 +371,17 @@ impl Chi2Result {
             self.chi2 / self.ndf as f64
         }
     }
+}
+
+/// Returns `name`, asserting it fits the `u16` length `hist_io` stores.
+fn storable_name(name: String) -> String {
+    assert!(
+        name.len() <= usize::from(u16::MAX),
+        "histogram name of {} bytes exceeds {} bytes",
+        name.len(),
+        u16::MAX
+    );
+    name
 }
 
 /// Result of a Kolmogorov–Smirnov test.

@@ -93,7 +93,8 @@ pub fn decode_set(data: &[u8]) -> Result<HistogramSet, HistIoError> {
 }
 
 fn encode_hist_with(hist: &Histogram1D, emit: &mut dyn FnMut(&[u8])) {
-    emit(&(hist.name().len() as u16).to_le_bytes());
+    let name_len = u16::try_from(hist.name().len()).expect("Histogram1D::new bounds the name");
+    emit(&name_len.to_le_bytes());
     emit(hist.name().as_bytes());
     emit(&(hist.nbins() as u32).to_le_bytes());
     emit(&hist.lo().to_le_bytes());
@@ -206,6 +207,20 @@ mod tests {
         for cut in [0usize, 4, 9, bytes.len() / 2, bytes.len() - 1] {
             assert!(decode_set(&bytes[..cut]).is_err(), "cut at {cut}");
         }
+    }
+
+    #[test]
+    fn longest_storable_name_round_trips() {
+        let mut hist = Histogram1D::new("n".repeat(usize::from(u16::MAX)), 2, 0.0, 1.0);
+        hist.fill(0.25);
+        let set: HistogramSet = [hist].into_iter().collect();
+        assert_eq!(decode_set(&encode_set(&set)).unwrap(), set);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds 65535 bytes")]
+    fn unstorable_name_is_refused_at_construction() {
+        Histogram1D::new("n".repeat(usize::from(u16::MAX) + 1), 2, 0.0, 1.0);
     }
 
     #[test]

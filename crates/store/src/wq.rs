@@ -19,6 +19,22 @@
 //! <root>/tmp/...                           staging for atomic renames
 //! ```
 //!
+//! ## Cost model
+//!
+//! History only grows, so a read spanning many submissions takes **one
+//! listing per directory per scan**, whatever the number of submissions:
+//! [`try_lease_batch`](WorkQueue::try_lease_batch), [`stats`](WorkQueue::stats),
+//! [`drained`](WorkQueue::drained), [`reports_among`](WorkQueue::reports_among)
+//! and [`completed_among`](WorkQueue::completed_among) judge every
+//! submission against one `seq → generations` index built from a single
+//! `leases/` listing; per submission they pay only the record reads the
+//! trust rules need. The index is a *filter*, not a verdict: a claim is
+//! decided by the exclusive create of its generation file and re-checked
+//! by a fresh [`report`](WorkQueue::report), and renew/publish/release
+//! verify the held lease against a fresh listing of their own. Single
+//! submission reads ([`report`](WorkQueue::report),
+//! [`try_lease`](WorkQueue::try_lease)) list `leases/` once per call.
+//!
 //! ## Durability
 //!
 //! Every record reaches its final name through the full fsync discipline
@@ -98,6 +114,7 @@
 //! one exception — their generation numbers are fencing tokens parsed
 //! from the file *name*, so a corrupt lease file stays in place, burned.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -633,17 +650,18 @@ impl WorkQueue {
 
     // ---- leases ------------------------------------------------------
 
-    /// Lease generation numbers present on disk for `seq` (including
-    /// corrupt records: their numbers stay burned so fencing holds).
+    /// Every submission's lease generation numbers from **one** `leases/`
+    /// listing (including corrupt records: their numbers stay burned so
+    /// fencing holds). A failed listing reads as an empty index, as every
+    /// [`scan`](Self::scan) reads a failed listing as empty.
+    fn lease_index(&self) -> LeaseIndex {
+        LeaseIndex::from_names(self.scan("leases"))
+    }
+
+    /// Lease generation numbers present on disk for `seq`, sorted, from a
+    /// fresh listing.
     fn lease_tokens(&self, seq: u64) -> Vec<u64> {
-        let prefix = format!("sub-{seq:08}.g");
-        let mut tokens: Vec<u64> = self
-            .scan("leases")
-            .into_iter()
-            .filter_map(|name| parse_seq(&name, &prefix, ""))
-            .collect();
-        tokens.sort_unstable();
-        tokens
+        self.lease_index().0.remove(&seq).unwrap_or_default()
     }
 
     fn read_lease(&self, seq: u64, token: u64) -> Option<LeaseRecord> {
@@ -666,32 +684,33 @@ impl WorkQueue {
     /// sequence number that has no trusted report and whose current lease
     /// generation (if any) is released, expired or corrupt. Returns `None`
     /// when nothing is claimable right now (the backlog may still be
-    /// incomplete — other workers hold live leases).
+    /// incomplete — other workers hold live leases). A one-item
+    /// [`lease_batch`](Self::lease_batch).
     pub fn lease_next(&self, holder: &str) -> std::io::Result<Option<Lease>> {
-        for submission in self.submissions() {
-            if let Some(lease) = self.try_lease(submission.seq, holder)? {
-                return Ok(Some(lease));
-            }
-        }
-        Ok(None)
+        Ok(self.lease_batch(holder, 1)?.pop())
     }
 
     /// Attempts to claim one specific submission. `None` if it is
     /// complete, currently held live, corrupt, or lost in a claim race.
     pub fn try_lease(&self, seq: u64, holder: &str) -> std::io::Result<Option<Lease>> {
-        self.try_lease_opts(seq, holder, true)
+        self.try_lease_opts(seq, holder, true, &self.lease_tokens(seq))
     }
 
     /// [`try_lease`](Self::try_lease) with the claim entry's directory
     /// sync optionally deferred (see
-    /// [`try_lease_batch`](Self::try_lease_batch)).
+    /// [`try_lease_batch`](Self::try_lease_batch)) and the submission's
+    /// lease generations `tokens` taken from a listing the caller made.
+    /// A stale `tokens` can only cost a claim, never grant a wrong one:
+    /// the exclusive create of `last + 1` fails if that generation
+    /// exists, and the post-claim report check reads afresh.
     fn try_lease_opts(
         &self,
         seq: u64,
         holder: &str,
         sync_parent: bool,
+        tokens: &[u64],
     ) -> std::io::Result<Option<Lease>> {
-        if self.report(seq).is_some() {
+        if self.report_with(seq, tokens).is_some() {
             return Ok(None);
         }
         // A poisoned submission is permanently dead: leasing it would
@@ -708,7 +727,6 @@ impl WorkQueue {
         if self.submission_checked(seq)?.is_none() {
             return Ok(None);
         }
-        let tokens = self.lease_tokens(seq);
         let now = self.now();
         if let Some(&current) = tokens.last() {
             match self.read_lease(seq, current) {
@@ -877,6 +895,9 @@ impl WorkQueue {
         if max == 0 {
             return Ok(leases);
         }
+        // One `leases/` listing serves the whole scan, made only once a
+        // submission passes `want`.
+        let mut index: Option<LeaseIndex> = None;
         for seq in self.submission_seqs_checked()? {
             if leases.len() >= max {
                 break;
@@ -884,7 +905,8 @@ impl WorkQueue {
             if !want(seq) {
                 continue;
             }
-            match self.try_lease_opts(seq, holder, false) {
+            let tokens = index.get_or_insert_with(|| self.lease_index()).tokens(seq);
+            match self.try_lease_opts(seq, holder, false, tokens) {
                 Ok(Some(lease)) => leases.push(lease),
                 Ok(None) => {}
                 Err(e) if leases.is_empty() => return Err(e),
@@ -990,7 +1012,56 @@ impl WorkQueue {
     /// stalled, lost its lease and wrote anyway — are ignored, as is
     /// anything whose digest fails.
     pub fn report(&self, seq: u64) -> Option<Vec<u8>> {
-        let tokens = self.lease_tokens(seq);
+        self.report_with(seq, &self.lease_tokens(seq))
+    }
+
+    /// The trusted report payloads of `seqs`, index-aligned, judged
+    /// against **one** `leases/` listing — the multi-submission form of
+    /// [`report`](Self::report), so checking N submissions costs one
+    /// listing rather than N.
+    pub fn reports_among(&self, seqs: &[u64]) -> Vec<Option<Vec<u8>>> {
+        if seqs.is_empty() {
+            return Vec::new();
+        }
+        let index = self.lease_index();
+        seqs.iter()
+            .map(|&seq| self.report_with(seq, index.tokens(seq)))
+            .collect()
+    }
+
+    /// The members of `seqs` with a trusted report, in the order given,
+    /// from one `leases/` listing (see [`reports_among`](Self::reports_among)).
+    pub fn completed_among(&self, seqs: &[u64]) -> Vec<u64> {
+        seqs.iter()
+            .zip(self.reports_among(seqs))
+            .filter_map(|(&seq, report)| report.map(|_| seq))
+            .collect()
+    }
+
+    /// Whether `payload` is `lease`'s submission's trusted report,
+    /// published under `lease`'s generation while that generation is
+    /// still the current one — the read-back a publisher makes after a
+    /// publish failed at a point where its record may already have
+    /// reached the disk (a directory sync that faulted after the
+    /// rename). `Err` means a read the verdict needs failed and proves
+    /// nothing either way; callers retry it rather than conclude "absent".
+    pub fn report_landed(&self, lease: &Lease, payload: &[u8]) -> std::io::Result<bool> {
+        let index = LeaseIndex::from_names(self.fs.read_dir_names(&self.root.join("leases"))?);
+        if index.tokens(lease.seq).last() != Some(&lease.token) {
+            return Ok(false);
+        }
+        let bytes = match self.fs.read(&self.report_path(lease.seq, lease.token)) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(false),
+            Err(e) => return Err(e),
+        };
+        Ok(decode_report_bytes(lease.seq, lease.token, &bytes).as_deref() == Some(payload))
+    }
+
+    /// [`report`](Self::report) against the submission's lease
+    /// generations `tokens` (sorted ascending), taken from a listing the
+    /// caller made. The trust rule is `report`'s, unchanged.
+    fn report_with(&self, seq: u64, tokens: &[u64]) -> Option<Vec<u8>> {
         let current = *tokens.last()?;
         for &token in tokens.iter().rev() {
             let Some(payload) = self.read_report(seq, token) else {
@@ -1018,9 +1089,10 @@ impl WorkQueue {
     /// trusted report, or a poison mark (poisoned work will never
     /// complete, so waiting on it would hang the fleet forever).
     pub fn drained(&self) -> bool {
-        self.submissions()
-            .iter()
-            .all(|s| self.report(s.seq).is_some() || self.is_poisoned(s.seq))
+        let index = self.lease_index();
+        self.submissions().iter().all(|s| {
+            self.report_with(s.seq, index.tokens(s.seq)).is_some() || self.is_poisoned(s.seq)
+        })
     }
 
     // ---- poison marks ------------------------------------------------
@@ -1113,16 +1185,17 @@ impl WorkQueue {
                 _ => stats.corrupt_dropped += 1,
             }
         }
+        let index = self.lease_index();
         for &seq in &seqs {
-            let tokens = self.lease_tokens(seq);
+            let tokens = index.tokens(seq);
             stats.leases_issued += tokens.len();
             stats.reclaims += tokens.len().saturating_sub(1);
-            for &token in &tokens {
+            for &token in tokens {
                 if self.read_lease(seq, token).is_none() {
                     stats.corrupt_dropped += 1;
                 }
             }
-            if self.report(seq).is_some() {
+            if self.report_with(seq, tokens).is_some() {
                 stats.completed += 1;
             }
             if self.is_poisoned(seq) {
@@ -1233,6 +1306,43 @@ fn decode_submission(seq: u64, bytes: &[u8]) -> Option<QueueSubmission> {
         origin,
         payload,
     })
+}
+
+/// Lease generations per submission, each list sorted ascending, built
+/// from one `leases/` listing by [`WorkQueue::lease_index`]. It is a read
+/// filter, never a verdict: every claim is still decided by the exclusive
+/// create of its generation file.
+struct LeaseIndex(BTreeMap<u64, Vec<u64>>);
+
+impl LeaseIndex {
+    /// Indexes the file names of one `leases/` listing; names that are
+    /// not lease generations are ignored.
+    fn from_names(names: Vec<String>) -> Self {
+        let mut index: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+        for name in names {
+            if let Some((seq, token)) = parse_lease_name(&name) {
+                index.entry(seq).or_default().push(token);
+            }
+        }
+        for tokens in index.values_mut() {
+            tokens.sort_unstable();
+        }
+        LeaseIndex(index)
+    }
+
+    /// The generations on disk for `seq` (empty if none).
+    fn tokens(&self, seq: u64) -> &[u64] {
+        self.0.get(&seq).map_or(&[], Vec::as_slice)
+    }
+}
+
+/// Parses `sub-<seq>.g<token>` lease file names, accepting exactly the
+/// names [`WorkQueue::lease_path`] writes: the seq in its zero-padded
+/// `{seq:08}` form, then the generation number (written `{token:04}`).
+fn parse_lease_name(name: &str) -> Option<(u64, u64)> {
+    let (seq, token) = name.strip_prefix("sub-")?.split_once(".g")?;
+    let number: u64 = seq.parse().ok()?;
+    (format!("{number:08}") == seq).then_some((number, token.parse().ok()?))
 }
 
 /// Parses `sub-<seq>.g<token>.rep` report file names.
@@ -1483,6 +1593,115 @@ mod tests {
             }
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn lease_names_parse_back_exactly() {
+        let (q, _clock, dir) = queue(60);
+        for seq in [1, 99_999_999, 123_456_789_012] {
+            for token in [1, 9_999, 10_000, u64::MAX] {
+                let path = q.lease_path(seq, token);
+                let name = path.file_name().unwrap().to_str().unwrap();
+                assert_eq!(parse_lease_name(name), Some((seq, token)), "{name}");
+            }
+        }
+        for name in [
+            "sub-1.g0001",
+            "sub-+0000001.g0001",
+            "sub-00000001.g",
+            "sub-00000001.gx",
+            "sub-00000001.g0001.rep",
+            "sub-00000001.spwq",
+        ] {
+            assert_eq!(parse_lease_name(name), None, "{name}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Counts `leases/` listings on their way to the real filesystem.
+    #[derive(Default)]
+    struct LeaseListings(AtomicU64);
+
+    impl LeaseListings {
+        fn during(&self, op: impl FnOnce()) -> u64 {
+            let before = self.0.load(Ordering::SeqCst);
+            op();
+            self.0.load(Ordering::SeqCst) - before
+        }
+    }
+
+    impl StoreFs for LeaseListings {
+        fn read(&self, path: &Path) -> std::io::Result<Vec<u8>> {
+            OsFs.read(path)
+        }
+        fn write(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+            OsFs.write(path, bytes)
+        }
+        fn sync_file(&self, path: &Path) -> std::io::Result<()> {
+            OsFs.sync_file(path)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+            OsFs.rename(from, to)
+        }
+        fn hard_link(&self, src: &Path, dst: &Path) -> std::io::Result<()> {
+            OsFs.hard_link(src, dst)
+        }
+        fn remove_file(&self, path: &Path) -> std::io::Result<()> {
+            OsFs.remove_file(path)
+        }
+        fn create_dir_all(&self, path: &Path) -> std::io::Result<()> {
+            OsFs.create_dir_all(path)
+        }
+        fn sync_dir(&self, dir: &Path) -> std::io::Result<()> {
+            OsFs.sync_dir(dir)
+        }
+        fn read_dir_names(&self, dir: &Path) -> std::io::Result<Vec<String>> {
+            if dir.ends_with("leases") {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+            OsFs.read_dir_names(dir)
+        }
+        fn exists(&self, path: &Path) -> bool {
+            OsFs.exists(path)
+        }
+    }
+
+    #[test]
+    fn scans_list_leases_a_fixed_number_of_times_whatever_the_history() {
+        for completed in [8, 64] {
+            let (scratch, clock, dir) = queue(60);
+            drop(scratch);
+            let listings = Arc::new(LeaseListings::default());
+            let q = WorkQueue::open_with(&dir, 60, clock, listings.clone()).unwrap();
+            let done: Vec<u64> = (0..completed)
+                .map(|_| {
+                    let seq = q.submit(b"work", 1, 1, 0).unwrap();
+                    let lease = q.try_lease(seq, "w1").unwrap().unwrap();
+                    q.publish_report(&lease, b"result").unwrap();
+                    q.release(&lease).unwrap();
+                    seq
+                })
+                .collect();
+            let pending = q.submit(b"new", 1, 1, 0).unwrap();
+            let mut all = done.clone();
+            all.push(pending);
+
+            let among = listings.during(|| assert_eq!(q.completed_among(&all), done));
+            let stats = listings.during(|| assert_eq!(q.stats().completed, done.len()));
+            // One index for the scan, plus the fresh post-claim report
+            // check of the one claim it makes.
+            let claim = listings.during(|| {
+                let claimed = q.lease_batch("w2", 4).unwrap();
+                assert_eq!(claimed.iter().map(|l| l.seq).collect::<Vec<_>>(), [pending]);
+            });
+            let idle = listings.during(|| assert!(q.lease_batch("w3", 4).unwrap().is_empty()));
+            assert_eq!(
+                (among, stats, claim, idle),
+                (1, 1, 2, 1),
+                "{completed} completed submissions"
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     /// Every single-bit flip of `valid`, then noise of growing length.
